@@ -15,18 +15,22 @@ Quickstart::
     print(clf.predict(["I feel exhausted and cannot sleep properly."]))
 """
 
-from repro.core import (
-    DIMENSIONS,
-    AnnotatedInstance,
-    HolistixDataset,
-    Post,
-    Span,
-    WellnessClassifier,
-    WellnessDimension,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.dataset": ("HolistixDataset",),
+        "repro.core.instance": ("AnnotatedInstance", "Post", "Span"),
+        "repro.core.labels": ("DIMENSIONS", "WellnessDimension"),
+        "repro.core.pipeline": ("WellnessClassifier",),
+        "repro.engine.engine": ("PredictionEngine",),
+        "repro.engine.server": ("InferenceServer",),
+        "repro.serving.client": ("ServingClient",),
+        "repro.serving.gateway": ("ServingGateway",),
+        "repro.sparse": ("CSRMatrix",),
+    },
 )
-from repro.engine import InferenceServer, PredictionEngine
-from repro.serving import ServingClient, ServingGateway
-from repro.sparse import CSRMatrix
 
 __version__ = "1.0.0"
 

@@ -11,32 +11,8 @@ Two halves:
   that turns potential deadlocks and lock-contract violations into
   deterministic test failures.
 
-See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue.
+The package re-exports nothing, so every serving lock created through
+:func:`~repro.analysis.lockcheck.create_lock` loads the lock checker
+without the AST linter.  See ``docs/STATIC_ANALYSIS.md`` for the rule
+catalogue.
 """
-
-from repro.analysis.lockcheck import (
-    LockOrderError,
-    LockOrderRegistry,
-    OrderedLock,
-    create_lock,
-    lock_check_enabled,
-    require_held,
-)
-from repro.analysis.linter import check_file, check_source, run
-from repro.analysis.rules import ALL_RULES, FileContext, Rule, Violation
-
-__all__ = [
-    "ALL_RULES",
-    "FileContext",
-    "LockOrderError",
-    "LockOrderRegistry",
-    "OrderedLock",
-    "Rule",
-    "Violation",
-    "check_file",
-    "check_source",
-    "create_lock",
-    "lock_check_enabled",
-    "require_held",
-    "run",
-]

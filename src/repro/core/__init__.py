@@ -1,29 +1,36 @@
 """Core public API: labels, instances, dataset, classifier, profiling."""
 
-from repro.core.dataset import DatasetStatistics, FixedSplit, HolistixDataset
-from repro.core.instance import AnnotatedInstance, Post, Span
-from repro.core.labels import (
-    DIMENSIONS,
-    INDICATORS,
-    DimensionIndicator,
-    WellnessDimension,
-    dimension_from_code,
-)
-from repro.core.interactions import (
-    InteractionReport,
-    analyze_interactions,
-    build_interaction_graph,
-)
-from repro.core.pipeline import (
-    TRADITIONAL_BASELINES,
-    TRANSFORMER_BASELINES,
-    WellnessClassifier,
-)
-from repro.core.profiles import (
-    TriageDecision,
-    WellnessProfile,
-    build_profile,
-    triage,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.dataset": ("DatasetStatistics", "FixedSplit", "HolistixDataset"),
+        "repro.core.instance": ("AnnotatedInstance", "Post", "Span"),
+        "repro.core.labels": (
+            "DIMENSIONS",
+            "INDICATORS",
+            "DimensionIndicator",
+            "WellnessDimension",
+            "dimension_from_code",
+        ),
+        "repro.core.interactions": (
+            "InteractionReport",
+            "analyze_interactions",
+            "build_interaction_graph",
+        ),
+        "repro.core.pipeline": (
+            "TRADITIONAL_BASELINES",
+            "TRANSFORMER_BASELINES",
+            "WellnessClassifier",
+        ),
+        "repro.core.profiles": (
+            "TriageDecision",
+            "WellnessProfile",
+            "build_profile",
+            "triage",
+        ),
+    },
 )
 
 __all__ = [

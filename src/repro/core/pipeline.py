@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from pathlib import Path
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +29,11 @@ from repro.engine.registry import (
     transformer_baselines,
     transformer_class,
 )
-from repro.explain.lime import Explanation, LimeTextExplainer
 from repro.text.tfidf import TfidfVectorizer
 from repro.text.vocab import Vocabulary
+
+if TYPE_CHECKING:
+    from repro.explain.lime import Explanation
 
 __all__ = ["WellnessClassifier", "TRADITIONAL_BASELINES", "TRANSFORMER_BASELINES"]
 
@@ -202,6 +205,8 @@ class WellnessClassifier:
         perturbed texts are batched (and duplicates cached) rather than
         scored one path at a time.
         """
+        from repro.explain.lime import LimeTextExplainer
+
         explainer = LimeTextExplainer.from_engine(
             self.engine,
             n_samples=n_samples,

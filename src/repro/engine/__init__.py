@@ -17,43 +17,50 @@ The three pieces every prediction path shares:
   ``weights_version`` token.
 """
 
-from repro.engine.engine import (
-    EngineStats,
-    LatencyInjectedBackend,
-    PredictionEngine,
-    TraditionalBackend,
-    TransformerBackend,
-    bump_weights_version,
-    softmax_rows,
-    weights_version,
-)
-from repro.engine.procserver import (
-    FactoryEngineSpec,
-    ProcessInferenceServer,
-    RemoteWorkerError,
-    SharedCheckpointEngineSpec,
-)
-from repro.engine.registry import (
-    REGISTRY,
-    BaselineSpec,
-    available_baselines,
-    build_engine,
-    create_traditional_model,
-    create_transformer,
-    get_spec,
-    register,
-    traditional_baselines,
-    transformer_baselines,
-    transformer_class,
-)
-from repro.engine.server import (
-    BatchingServerBase,
-    InferenceServer,
-    PredictionResult,
-    ServerClosed,
-    ServerOverloaded,
-    ServerStats,
-    StatsSnapshot,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.engine": (
+            "EngineStats",
+            "LatencyInjectedBackend",
+            "PredictionEngine",
+            "TraditionalBackend",
+            "TransformerBackend",
+            "bump_weights_version",
+            "softmax_rows",
+            "weights_version",
+        ),
+        "repro.engine.procserver": (
+            "FactoryEngineSpec",
+            "ProcessInferenceServer",
+            "SharedCheckpointEngineSpec",
+        ),
+        "repro.engine.registry": (
+            "REGISTRY",
+            "BaselineSpec",
+            "available_baselines",
+            "build_engine",
+            "create_traditional_model",
+            "create_transformer",
+            "get_spec",
+            "register",
+            "traditional_baselines",
+            "transformer_baselines",
+            "transformer_class",
+        ),
+        "repro.engine.server": (
+            "BatchingServerBase",
+            "InferenceServer",
+            "PredictionResult",
+            "RemoteWorkerError",
+            "ServerClosed",
+            "ServerOverloaded",
+            "ServerStats",
+            "StatsSnapshot",
+        ),
+    },
 )
 
 __all__ = [

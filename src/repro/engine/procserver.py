@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.analysis.lockcheck import create_lock, require_held
 from repro.engine.engine import EngineStats, LatencyInjectedBackend
-from repro.engine.server import BatchingServerBase
+from repro.engine.server import BatchingServerBase, RemoteWorkerError
 from repro.nn.serialization import SharedCheckpoint, SharedManifest
 
 __all__ = [
@@ -56,11 +56,6 @@ __all__ = [
 
 
 logger = logging.getLogger(__name__)
-
-
-class RemoteWorkerError(RuntimeError):
-    """A worker process failed to serve a batch (it died twice, or the
-    remote inference raised; the remote traceback is in the message)."""
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +408,13 @@ class ProcessInferenceServer(BatchingServerBase):
 
         One dict per worker slot: ``worker``, ``pid`` (None before
         ready/after stop), ``alive``, ``restarts``, ``crash_looping``.
+        A slot is ``alive`` only once its ready handshake has set the
+        pid: a process that is still starting serves nothing yet, and
+        every caller may signal the pid of a slot reported alive.
         """
         report = []
         for worker, handle in enumerate(self._handles):
-            alive = handle is not None and handle.alive()
+            alive = handle is not None and handle.pid is not None and handle.alive()
             report.append(
                 {
                     "worker": worker,

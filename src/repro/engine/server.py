@@ -47,6 +47,7 @@ __all__ = [
     "BatchingServerBase",
     "InferenceServer",
     "PredictionResult",
+    "RemoteWorkerError",
     "ServerClosed",
     "ServerOverloaded",
     "ServerStats",
@@ -67,6 +68,11 @@ logger = logging.getLogger(__name__)
 
 class ServerClosed(RuntimeError):
     """``submit()`` on a server that is not accepting requests."""
+
+
+class RemoteWorkerError(RuntimeError):
+    """A worker process failed to serve a batch (it died twice, or the
+    remote inference raised; the remote traceback is in the message)."""
 
 
 class ServerOverloaded(RuntimeError):

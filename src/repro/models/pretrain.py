@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corpus.generator import GeneratorConfig, assemble, generate_drafts
-from repro.corpus.templates import FILLER_SENTENCES, OFFTOPIC_SENTENCES
 from repro.core.labels import DIMENSIONS
 from repro.models.classifier import TransformerClassifier
 from repro.nn.batching import window_bucketed_batches
@@ -42,6 +40,9 @@ def build_pretraining_corpus(
     chatter and meta sentences), diluting the in-domain signal the way
     web-scale pretraining dilutes any one domain.
     """
+    from repro.corpus.generator import GeneratorConfig, assemble, generate_drafts
+    from repro.corpus.templates import FILLER_SENTENCES, OFFTOPIC_SENTENCES
+
     if domain not in ("mixed", "mental_health"):
         raise ValueError(f"unknown pretraining domain {domain!r}")
     per_class = max(1, size // len(DIMENSIONS))

@@ -23,22 +23,29 @@ See ``docs/SERVING.md`` for the wire protocol reference and deployment
 notes.
 """
 
-from repro.serving.client import (
-    GatewayOverloaded,
-    GatewayUnavailable,
-    PredictBatchResult,
-    PredictResult,
-    ServedBy,
-    ServingClient,
-    ServingError,
-)
-from repro.serving.fleet import ModelEntry, ModelFleet, UnknownModelError
-from repro.serving.gateway import ServingGateway
-from repro.serving.metrics import parse_metrics, render_metrics
-from repro.serving.protocol import (
-    MAX_BATCH_TEXTS,
-    MAX_BODY_BYTES,
-    ProtocolError,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serving.client": (
+            "GatewayOverloaded",
+            "GatewayUnavailable",
+            "PredictBatchResult",
+            "PredictResult",
+            "ServedBy",
+            "ServingClient",
+            "ServingError",
+        ),
+        "repro.serving.fleet": ("ModelEntry", "ModelFleet", "UnknownModelError"),
+        "repro.serving.gateway": ("ServingGateway",),
+        "repro.serving.metrics": ("parse_metrics", "render_metrics"),
+        "repro.serving.protocol": (
+            "MAX_BATCH_TEXTS",
+            "MAX_BODY_BYTES",
+            "ProtocolError",
+        ),
+    },
 )
 
 __all__ = [

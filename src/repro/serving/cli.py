@@ -35,7 +35,6 @@ from pathlib import Path
 
 from repro.core.pipeline import WellnessClassifier
 from repro.engine.engine import LatencyInjectedBackend
-from repro.engine.procserver import ProcessInferenceServer
 from repro.engine.registry import build_engine
 from repro.engine.server import InferenceServer
 from repro.serving.fleet import ModelEntry, ModelFleet
@@ -44,10 +43,6 @@ from repro.serving.gateway import ServingGateway
 __all__ = ["main", "parse_model_spec"]
 
 log = logging.getLogger("repro.serving.cli")
-
-# Back-compat alias: the wrapper moved to the engine layer so
-# multi-process worker specs can rebuild it inside worker processes.
-_LatencyInjectedBackend = LatencyInjectedBackend
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,6 +199,8 @@ def _build_entry_server(args, checkpoint: Path):
         # Multi-process serving: the checkpoint is read once here and
         # published to shared memory; each worker process attaches
         # zero-copy views and computes outside this process's GIL.
+        from repro.engine.procserver import ProcessInferenceServer
+
         server = ProcessInferenceServer.from_checkpoint(
             checkpoint,
             workers=args.worker_processes,

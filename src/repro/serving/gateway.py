@@ -50,9 +50,13 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.analysis.lockcheck import create_lock
-from repro.engine.procserver import RemoteWorkerError
 from repro.engine.registry import registry_listing
-from repro.engine.server import BatchingServerBase, ServerClosed, ServerOverloaded
+from repro.engine.server import (
+    BatchingServerBase,
+    RemoteWorkerError,
+    ServerClosed,
+    ServerOverloaded,
+)
 from repro.serving.fleet import ModelEntry, ModelFleet, UnknownModelError
 from repro.serving.metrics import HttpCounters, render_metrics
 from repro.serving.protocol import (

@@ -98,6 +98,11 @@ def make_broken_engine():
     raise RuntimeError("this factory always fails")
 
 
+def make_slow_starting_engine():
+    time.sleep(1.0)
+    return make_hash_engine()
+
+
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------
@@ -286,6 +291,19 @@ class TestWorkerSupervision:
                 result = server.submit(f"via {method}").result(timeout=30)
                 assert len(result.probabilities) == 6
 
+    def test_starting_worker_is_not_reported_alive(self):
+        # Until its ready handshake delivers the pid, a slot serves
+        # nothing; reporting it alive would hand callers a None pid.
+        server = ProcessInferenceServer.from_factory(
+            make_slow_starting_engine, workers=1, max_batch_size=2
+        )
+        with server:
+            starting = server.worker_processes()[0]
+            assert starting["pid"] is not None or not starting["alive"]
+            server.wait_ready(timeout=120)
+            ready = server.worker_processes()[0]
+            assert ready["alive"] and isinstance(ready["pid"], int)
+
     def test_dead_worker_respawns_on_dispatch_and_counts_restart(self):
         server = ProcessInferenceServer.from_factory(
             make_hash_engine, workers=1, max_batch_size=2
@@ -302,8 +320,10 @@ class TestWorkerSupervision:
             assert report["alive"] and report["pid"] != first_pid
 
     def test_ensure_workers_revives_idle_dead_worker(self):
+        # A long supervisor interval keeps the background respawn out of
+        # the race: the slot must be revived by ensure_workers itself.
         server = ProcessInferenceServer.from_factory(
-            make_hash_engine, workers=2, max_batch_size=2
+            make_hash_engine, workers=2, max_batch_size=2, supervisor_interval_s=600.0
         )
         with server:
             server.wait_ready(timeout=120)
@@ -447,8 +467,10 @@ class TestGatewayProcessAwareness:
             assert alive == [1.0, 1.0]
 
     def test_healthz_revives_dead_worker(self):
+        # A long supervisor interval keeps the background respawn out of
+        # the race: the slot must be revived by the probe itself.
         server = ProcessInferenceServer.from_factory(
-            make_hash_engine, workers=2, max_batch_size=2
+            make_hash_engine, workers=2, max_batch_size=2, supervisor_interval_s=600.0
         )
         with ServingGateway(server) as gateway:
             server.wait_ready(timeout=120)
