@@ -581,7 +581,7 @@ def phase_chaos_admin(checkpoint: Path, log_dir: Path) -> None:
                 {"at_s": 0.2, "kind": "worker_crash", "target": 0},
             ],
         }
-        status, body = admin_post(url, "/v1/admin/chaos", token, plan)
+        status, body = admin_post(url, "/v1/admin/chaos", token, {"plan": plan})
         check(
             status == 200 and body.get("status") == "armed",
             f"chaos arm failed: {status} {body}",

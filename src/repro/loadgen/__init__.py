@@ -1,6 +1,7 @@
 """Open-loop load generation for the serving stack.
 
-The measurement substrate the serving benchmarks are gated on:
+The measurement substrate of the ``serving_chaos`` benchmark scenario
+and of ``holistix-loadgen``:
 
 * :mod:`repro.loadgen.schedule` — seeded Poisson / fixed-rate arrival
   schedules, precomputed before the run and replayable from JSON trace
@@ -9,8 +10,7 @@ The measurement substrate the serving benchmarks are gated on:
   histograms with bounded (≈2.5%) relative quantile error.
 * :mod:`repro.loadgen.runner` — the open-loop runner (latency measured
   from *intended* send time, deadline-aware in-flight cap, typed
-  failure accounting) plus the deliberately naive closed-loop baseline
-  it is compared against.
+  failure accounting).
 * :mod:`repro.loadgen.cli` — ``holistix-loadgen``, the operator CLI
   that drives a running gateway URL with a schedule or a trace file.
 
@@ -18,13 +18,14 @@ Why open loop: a closed-loop client (N threads, one request in flight
 each) slows down exactly when the server does, so a 500 ms server stall
 touches only N requests and vanishes from p99 — coordinated omission.
 The open-loop runner keeps offered load fixed and charges every stalled
-millisecond to the requests that were due, so the tail cannot lie.  The
-gap between the two methodologies is itself measured and regression-
-tested (``serving_tail`` scenario, ``tests/test_loadgen.py``).
+millisecond to the requests that were due, so the tail cannot lie
+(``tests/test_loadgen.py`` injects such a stall and checks the open-loop
+p99 carries it).  The repository benchmark's ``perfbench/openloop.py``
+applies the same rules over keep-alive connections.
 """
 
 from repro.loadgen.histogram import LatencyHistogram
-from repro.loadgen.runner import LoadResult, run_closed_loop, run_open_loop
+from repro.loadgen.runner import LoadResult, run_open_loop
 from repro.loadgen.schedule import (
     ArrivalSchedule,
     fixed_rate_schedule,
@@ -37,6 +38,5 @@ __all__ = [
     "LoadResult",
     "fixed_rate_schedule",
     "poisson_schedule",
-    "run_closed_loop",
     "run_open_loop",
 ]

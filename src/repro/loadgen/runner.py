@@ -1,4 +1,4 @@
-"""Open-loop (and reference closed-loop) load generation runners.
+"""The open-loop load generation runner.
 
 The open-loop runner is the measurement instrument this package exists
 for.  Its three honesty rules:
@@ -17,11 +17,6 @@ for.  Its three honesty rules:
 3. **Failures are recorded, typed, and charged.**  An exception from
    the transport counts against the run (by exception class name) and
    its wall-clock cost still lands in the histogram.
-
-:func:`run_closed_loop` is the deliberately naive baseline — N clients,
-one request in flight each, latency measured from the actual send — so
-the coordinated-omission gap is measurable (and is regression-tested)
-rather than folklore.
 
 The transport callable receives ``(text, intended_at)`` where
 ``intended_at`` is a ``time.monotonic`` timestamp; HTTP transports
@@ -42,7 +37,7 @@ from repro.analysis.lockcheck import create_lock
 from repro.loadgen.histogram import LatencyHistogram
 from repro.loadgen.schedule import ArrivalSchedule
 
-__all__ = ["LoadResult", "run_closed_loop", "run_open_loop"]
+__all__ = ["LoadResult", "run_open_loop"]
 
 _SendFn = Callable[[str, float], object]
 
@@ -51,11 +46,8 @@ _SendFn = Callable[[str, float], object]
 class LoadResult:
     """Outcome of one load-generation run.
 
-    ``scheduled == completed + failed + dropped`` always holds for
-    open-loop runs; closed-loop runs have ``dropped == 0`` and
-    ``scheduled == completed + failed`` (the client count times however
-    many requests they managed — that elasticity is the methodology's
-    flaw, which is the point of keeping it around).
+    ``scheduled == completed + failed + dropped`` always holds.  ``mode``
+    names the methodology (``"open"``) in reports.
     """
 
     mode: str
@@ -224,72 +216,5 @@ def run_open_loop(
         completed=collector.completed,
         failed=collector.failed,
         dropped=collector.dropped,
-        error_types=dict(collector.error_types),
-    )
-
-
-def run_closed_loop(
-    send: _SendFn,
-    texts: Sequence[str],
-    *,
-    n_clients: int = 8,
-    duration_s: float = 2.0,
-) -> LoadResult:
-    """The coordinated-omission baseline: N clients, measure at send.
-
-    Each client keeps exactly one request in flight and stamps latency
-    from the moment *it* sent — so while the server stalls, the clients
-    stall with it, offered load collapses, and only ``n_clients``
-    requests ever observe the stall.  Kept (and exercised in the
-    benchmark suite) purely to measure how much that methodology hides.
-    """
-    if not texts:
-        raise ValueError("texts must be non-empty")
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-
-    collector = _Collector()
-    stop_at = time.monotonic() + duration_s
-
-    def client(client_index: int) -> None:
-        index = client_index
-        while time.monotonic() < stop_at:
-            sent_at = time.monotonic()
-            try:
-                send(texts[index % len(texts)], sent_at)
-            except Exception as error:  # noqa: BLE001 - typed + counted
-                done = time.monotonic()
-                collector.record("failed", (done - sent_at) * 1000.0, done, error)
-            else:
-                done = time.monotonic()
-                collector.record("completed", (done - sent_at) * 1000.0, done)
-            index += n_clients
-
-    threads = [
-        threading.Thread(target=client, args=(i,), name=f"closed-{i}", daemon=True)
-        for i in range(n_clients)
-    ]
-    start = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    duration = max(collector.last_done_at, stop_at) - start
-    completed = collector.completed
-    achieved = completed / duration if duration > 0 else 0.0
-    return LoadResult(
-        mode="closed",
-        histogram=collector.histogram,
-        # A closed loop has no offered rate independent of the server;
-        # reporting achieved as offered IS the methodological flaw.
-        offered_rate_rps=achieved,
-        achieved_rate_rps=achieved,
-        duration_s=duration,
-        scheduled=completed + collector.failed,
-        completed=completed,
-        failed=collector.failed,
-        dropped=0,
         error_types=dict(collector.error_types),
     )

@@ -29,8 +29,7 @@ with production retry semantics:
   on requests the client has already abandoned.
 
 Predict calls return a typed :class:`PredictResult` (label, probs,
-``served_by`` fleet envelope) instead of a raw dict; dict-style access
-still works as a deprecated shim during migration.  Typed failures:
+``served_by`` fleet envelope) instead of a raw dict.  Typed failures:
 :class:`GatewayOverloaded` (deadline exhausted while the server kept
 shedding), :class:`GatewayUnavailable` (503 — draining or stopped),
 :class:`CircuitOpen` (failed fast client-side), and
@@ -44,11 +43,9 @@ import http.client
 import json
 import math
 import random
-import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -144,15 +141,6 @@ def _error_from_response(status: int, body: bytes) -> ServingError:
     return ServingError(status, code, message, model=model, retriable=retriable)
 
 
-def _warn_dict_access(kind: str) -> None:
-    warnings.warn(
-        f"dict-style access to {kind} is deprecated; "
-        "use the typed attributes (.label, .probabilities, .served_by, ...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(frozen=True)
 class ServedBy:
     """The response envelope naming which fleet entry answered."""
@@ -183,10 +171,6 @@ class PredictResult:
     ``{"label", "probability"}`` list, or ``None``), ``latency_ms``,
     ``model_id``, and ``served_by`` (the fleet envelope, ``None`` from
     pre-fleet gateways).  ``raw`` keeps the decoded JSON object.
-
-    Dict-style access (``result["label"]``) still works but emits a
-    :class:`DeprecationWarning` — it is the migration shim for callers
-    written against the raw-dict client.
     """
 
     __slots__ = (
@@ -238,26 +222,12 @@ class PredictResult:
             f"served_by={self.served_by!r}, model_id={self.model_id!r})"
         )
 
-    # Deprecated dict shim ---------------------------------------------
-    def __getitem__(self, key: str) -> object:
-        _warn_dict_access("PredictResult")
-        return self.raw[key]
-
-    def __contains__(self, key: object) -> bool:
-        _warn_dict_access("PredictResult")
-        return key in self.raw
-
-    def get(self, key: str, default: object = None) -> object:
-        _warn_dict_access("PredictResult")
-        return self.raw.get(key, default)
-
 
 class PredictBatchResult:
     """Typed response from ``POST /v1/predict_batch``.
 
-    ``predictions`` is one :class:`PredictResult` per input text (each
-    sharing the batch's ``model_id``/``served_by``); the deprecated
-    dict shim mirrors :class:`PredictResult`'s.
+    ``predictions`` is one :class:`PredictResult` per input text, each
+    sharing the batch's ``model_id``/``served_by``.
     """
 
     __slots__ = ("predictions", "model_id", "served_by", "raw")
@@ -298,19 +268,6 @@ class PredictBatchResult:
             f"PredictBatchResult(n={len(self.predictions)}, "
             f"served_by={self.served_by!r})"
         )
-
-    # Deprecated dict shim ---------------------------------------------
-    def __getitem__(self, key: str) -> object:
-        _warn_dict_access("PredictBatchResult")
-        return self.raw[key]
-
-    def __contains__(self, key: object) -> bool:
-        _warn_dict_access("PredictBatchResult")
-        return key in self.raw
-
-    def get(self, key: str, default: object = None) -> object:
-        _warn_dict_access("PredictBatchResult")
-        return self.raw.get(key, default)
 
 
 class ServingClient:
@@ -696,7 +653,7 @@ class ServingClient:
         timeout_s: float,
         *,
         extra_headers: dict | None = None,
-    ) -> tuple[int, bytes, dict]:
+    ) -> tuple[int, bytes, http.client.HTTPMessage]:
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
@@ -711,7 +668,7 @@ class ServingClient:
             with urllib.request.urlopen(
                 request, timeout=max(0.001, timeout_s)
             ) as response:
-                return response.status, response.read(), dict(response.headers)
+                return response.status, response.read(), response.headers
         except urllib.error.HTTPError as error:
             with error:
-                return error.code, error.read(), dict(error.headers)
+                return error.code, error.read(), error.headers

@@ -496,7 +496,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     def _admin_entry(self, payload: dict, *, verb: str) -> ModelEntry:
         """Resolve the ``model`` selector an admin request targets.
 
-        A one-entry fleet keeps the old selector-less bodies working;
+        A one-entry fleet may leave it out (the single-model form);
         with several entries the selector is mandatory — an ambiguous
         reload must never guess which weights to swap.
         """
@@ -616,20 +616,16 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     def _admin_chaos(self, payload: dict, route: str) -> None:
         """Arm a fault plan on one entry's server.
 
-        The new body shape is ``{"model": ..., "plan": {...}}``; a body
-        without a ``plan`` key is the old form — the whole payload is
-        the :meth:`FaultPlan.to_dict` and the default entry is armed.
+        The body is ``{"model": ..., "plan": {...}}`` where ``plan`` is a
+        :meth:`FaultPlan.to_dict`; ``model`` may be left out on a
+        one-entry fleet.
         """
         from repro.chaos import FaultInjector, FaultPlan
 
-        if "plan" in payload:
-            plan_dict = payload["plan"]
-            if not isinstance(plan_dict, dict):
-                raise ProtocolError(400, "bad_plan", "plan must be a JSON object")
-            entry = self._admin_entry(payload, verb="arm chaos on")
-        else:
-            plan_dict = payload
-            entry = self.gateway.fleet.default_entry
+        plan_dict = payload.get("plan")
+        if not isinstance(plan_dict, dict):
+            raise ProtocolError(400, "bad_plan", 'field "plan" must be a JSON object')
+        entry = self._admin_entry(payload, verb="arm chaos on")
         try:
             plan = FaultPlan.from_dict(plan_dict)
         except (KeyError, TypeError, ValueError) as error:

@@ -112,11 +112,6 @@ class TestDocumentation:
         for scenario in SCENARIOS:
             assert scenario in text, scenario
 
-    def test_benchmark_records_committed(self):
-        records = REPO_ROOT / "benchmarks" / "records"
-        for name in ("BENCH_tfidf.json", "BENCH_table4.json"):
-            assert (records / name).is_file(), name
-
     def test_experiments_md_has_performance_section(self):
         text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
         assert "## Performance" in text

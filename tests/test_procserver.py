@@ -82,6 +82,17 @@ class _SlowBackend(_HashBackend):
         return super().proba_batch(texts)
 
 
+SLEEPY_SERVICE_S = 0.25
+
+
+class _SleepyBackend(_HashBackend):
+    """Sleeps through each batch, releasing the GIL as native kernels do."""
+
+    def proba_batch(self, texts):
+        time.sleep(SLEEPY_SERVICE_S)
+        return super().proba_batch(texts)
+
+
 def make_hash_engine():
     return PredictionEngine(_HashBackend(), model_id="hash", cache_size=0)
 
@@ -92,6 +103,10 @@ def make_boom_engine():
 
 def make_slow_engine():
     return PredictionEngine(_SlowBackend(), model_id="slow", cache_size=0)
+
+
+def make_sleepy_engine():
+    return PredictionEngine(_SleepyBackend(), model_id="sleepy", cache_size=0)
 
 
 def make_broken_engine():
@@ -359,6 +374,39 @@ class TestWorkerSupervision:
             RemoteWorkerError, match="this factory always fails"
         ):
             server.wait_ready(timeout=120)
+
+
+# ----------------------------------------------------------------------
+# Worker overlap
+# ----------------------------------------------------------------------
+class TestWorkerOverlap:
+    @pytest.mark.parametrize("processes", [False, True], ids=["threads", "processes"])
+    def test_workers_serve_concurrently(self, processes):
+        # Four workers answer four concurrent requests in about one
+        # service time; workers that serialised would take four.
+        workers = 4
+        kwargs = dict(workers=workers, max_batch_size=1, max_wait_ms=0.0)
+        if processes:
+            server = ProcessInferenceServer.from_factory(make_sleepy_engine, **kwargs)
+        else:
+            server = InferenceServer(make_sleepy_engine(), **kwargs)
+
+        def round_trip(tag: str) -> None:
+            futures = [server.submit(f"{tag} {i}") for i in range(workers)]
+            for future in futures:
+                future.result(timeout=30)
+
+        with server:
+            if processes:
+                server.wait_ready(timeout=120)
+            round_trip("warm-up")
+            started = time.perf_counter()
+            round_trip("measured")
+            elapsed = time.perf_counter() - started
+        assert elapsed < 2 * SLEEPY_SERVICE_S, (
+            f"{workers} requests took {elapsed:.2f}s over {workers} workers "
+            f"with a {SLEEPY_SERVICE_S}s service time"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ Covers the :class:`ModelFleet` routing table (explicit ``model`` >
 seeded A/B split > default), shadow entries (scored, counted, never
 answering), the redesigned ``/v1`` wire surface over a multi-entry
 fleet (``served_by`` envelopes, the fleet status document, per-model
-Prometheus families), per-model admin selectors, and the deprecated
-dict-shim on the typed client results.
+Prometheus families), per-model admin selectors, and the typed client
+results.
 """
 
 from __future__ import annotations
@@ -328,13 +328,12 @@ class TestFleetGateway:
         assert payload["model"] == "challenger"
         assert gateway.fleet.entry("challenger").server.chaos is not None
         assert gateway.fleet.entry("champion").server.chaos is None
-        # Old selector-less form still arms the default entry's server.
+        # A bare plan body is not a chaos request: it arms nothing.
         status, payload = _admin_post(gateway, "/v1/admin/chaos", plan)
-        assert status == 200
-        assert payload["model"] == "champion"
-        assert gateway.fleet.entry("champion").server.chaos is not None
-        # Re-arming moved the injector off the previously armed server.
-        assert gateway.fleet.entry("challenger").server.chaos is None
+        assert status == 400
+        assert payload["error"]["code"] == "bad_plan"
+        assert gateway.fleet.entry("champion").server.chaos is None
+        assert gateway.fleet.entry("challenger").server.chaos is not None
         gateway.disarm_chaos()
 
     def test_gateway_owns_only_entries_it_started(self):
@@ -371,8 +370,8 @@ class TestSingleServerCompatibility:
             assert result.model_id == "solo@1"
 
 
-class TestDeprecatedDictShim:
-    def test_predict_result_dict_access_warns(self):
+class TestTypedResults:
+    def test_predict_result_fields(self):
         raw = {
             "label": "IA",
             "latency_ms": 1.0,
@@ -382,14 +381,8 @@ class TestDeprecatedDictShim:
         result = PredictResult.from_raw(raw)
         assert result.label == "IA"
         assert result.served_by.weights_version == 2
-        with pytest.warns(DeprecationWarning, match="dict-style access"):
-            assert result["label"] == "IA"
-        with pytest.warns(DeprecationWarning):
-            assert "label" in result
-        with pytest.warns(DeprecationWarning):
-            assert result.get("missing", "fallback") == "fallback"
 
-    def test_batch_result_dict_access_warns(self):
+    def test_batch_result_copies_envelope_onto_predictions(self):
         raw = {
             "model_id": "m@1",
             "served_by": {"model": "default", "weights_version": 0},
@@ -399,21 +392,13 @@ class TestDeprecatedDictShim:
         assert len(batch) == 1
         assert batch.predictions[0].label == "IA"
         assert batch.predictions[0].served_by.model == "default"
-        with pytest.warns(DeprecationWarning, match="dict-style access"):
-            assert batch["model_id"] == "m@1"
-        with pytest.warns(DeprecationWarning):
-            assert "predictions" in batch
 
-    def test_typed_access_does_not_warn(self):
-        import warnings
-
+    def test_absent_fields_read_as_none(self):
         result = PredictResult.from_raw({"label": "IA", "latency_ms": 1.0})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert result.label == "IA"
-            assert result.probabilities is None
-            assert result.served_by is None
-            assert result.raw["label"] == "IA"
+        assert result.label == "IA"
+        assert result.probabilities is None
+        assert result.served_by is None
+        assert result.raw["label"] == "IA"
 
 
 def _admin_post(gateway, path: str, payload: dict) -> tuple[int, dict]:

@@ -10,9 +10,11 @@ a real loopback gateway.
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -71,6 +73,32 @@ def error_response(status, code, retry_after=None):
     return (status, body, headers)
 
 
+class _LowercaseRetryAfterHandler(BaseHTTPRequestHandler):
+    """Answers the first POST 429 with ``retry-after: 0``, then 200s.
+
+    HTTP/2-terminating proxies forward header names in lowercase.
+    """
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.answered += 1
+        if self.server.answered == 1:
+            status, payload = 429, {"error": {"code": "overloaded", "message": "x"}}
+        else:
+            status, payload = 200, {"label": "IA", "latency_ms": 1.0}
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        if status == 429:
+            self.send_header("retry-after", "0")
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
 class TestRetryAfterHardening:
     @pytest.mark.parametrize(
         "hint",
@@ -99,6 +127,28 @@ class TestRetryAfterHardening:
         assert client.predict("hello").label == "IA"
         assert time.monotonic() - start < 1.0
         assert transport.calls == 2
+
+    def test_lowercase_retry_after_is_honoured(self):
+        # The client's own backoff (5 s) cannot fit the 1 s deadline, so
+        # the call succeeds only if the server's hint of 0 s is read.
+        stub = HTTPServer(("127.0.0.1", 0), _LowercaseRetryAfterHandler)
+        stub.answered = 0
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServingClient(
+                f"http://127.0.0.1:{stub.server_port}",
+                deadline_s=1.0,
+                retry_base_s=5.0,
+                retry_max_s=5.0,
+                retry_jitter=0.0,
+            )
+            assert client.predict("hello").label == "IA"
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=5)
+        assert stub.answered == 2
 
 
 class TestCircuitBreaker:
@@ -395,7 +445,7 @@ class TestAdminSurface:
             status, payload = _post(
                 gateway.url,
                 "/v1/admin/chaos",
-                {"plan_version": 1, "seed": "x"},
+                {"plan": {"plan_version": 1, "seed": "x"}},
                 headers={"X-Admin-Token": "s3cret"},
             )
             assert status == 400
@@ -413,7 +463,7 @@ class TestChaosHttpFaults:
         status, payload = _post(
             gateway.url,
             "/v1/admin/chaos",
-            plan.to_dict(),
+            {"plan": plan.to_dict()},
             headers={"X-Admin-Token": "s3cret"},
         )
         assert status == 200 and payload["status"] == "armed"
