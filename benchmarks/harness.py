@@ -495,7 +495,6 @@ def scenario_serving_chaos(quick: bool) -> dict:
         model_id="bench-chaos",
         workers=2,
         max_batch_size=8,
-        max_wait_ms=0.5,
         max_queue=512,
         overload="block",
         supervisor_interval_s=0.1,

@@ -21,9 +21,7 @@ def test_server_throughput(benchmark, dataset):
 
     def run():
         classifier.engine.invalidate()
-        server = InferenceServer(
-            classifier.engine, max_batch_size=32, max_wait_ms=1.0
-        )
+        server = InferenceServer(classifier.engine, max_batch_size=32)
         with server:
             chunks = [texts[i::4] for i in range(4)]
             outputs = [None] * 4

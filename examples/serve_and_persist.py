@@ -55,7 +55,6 @@ def main(baseline: str = "LR") -> None:
         classifier.engine,
         workers=4,
         max_batch_size=32,
-        max_wait_ms=2.0,
         max_queue=512,
         overload="block",
     )
@@ -136,7 +135,6 @@ def main(baseline: str = "LR") -> None:
         classifier.engine,
         workers=1,
         max_batch_size=1,
-        max_wait_ms=0.0,
         max_queue=1,
         overload="shed",
     )

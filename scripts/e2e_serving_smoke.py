@@ -310,8 +310,6 @@ def phase_forced_shed(checkpoint: Path, log_dir: Path) -> None:
             "1",
             "--max-batch-size",
             "1",
-            "--max-wait-ms",
-            "0",
             "--max-queue",
             "1",
             "--overload",

@@ -269,7 +269,6 @@ class ProcessInferenceServer(BatchingServerBase):
         model_id: str | None = None,
         workers: int = 2,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         overload: str = "block",
         start_method: str | None = None,
@@ -293,7 +292,6 @@ class ProcessInferenceServer(BatchingServerBase):
         super().__init__(
             workers=workers,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             max_queue=max_queue,
             overload=overload,
         )

@@ -3,10 +3,12 @@
 Stdlib-only: callers submit single texts from any thread and get a
 :class:`concurrent.futures.Future`; ``workers`` serving threads — each
 owning its own :class:`PredictionEngine` replica over the shared
-read-only fitted model — pull from one bounded admission queue and
-coalesce whatever has queued up (up to ``max_batch_size``, waiting at
-most ``max_wait_ms``) into batched engine calls, so concurrent traffic
-is served at batch throughput instead of one forward pass per request.
+read-only fitted model — pull from one bounded admission queue.  A
+free worker takes whatever is queued (up to ``max_batch_size``) and
+runs it at once, never holding a batch open: a lone request is served
+as soon as a worker is free, and batches form only from requests that
+queued while every worker was busy, so concurrent traffic is served at
+batch throughput instead of one forward pass per request.
 
 The admission queue is bounded (``max_queue``) and the overload policy
 is configurable: ``"block"`` applies backpressure by making ``submit``
@@ -26,7 +28,7 @@ import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -383,7 +385,6 @@ class BatchingServerBase:
         *,
         workers: int = 1,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         overload: str = "block",
     ) -> None:
@@ -391,15 +392,12 @@ class BatchingServerBase:
             raise ValueError("workers must be >= 1")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if overload not in ("block", "shed"):
             raise ValueError('overload must be "block" or "shed"')
         self.workers = workers
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self.overload = overload
         self.stats = ServerStats(n_workers=workers)
@@ -584,8 +582,9 @@ class BatchingServerBase:
         per-future allowance: with ``n`` texts the worst case is
         ``timeout`` seconds, never ``n × timeout``.
 
-        If admission fails partway (shed or stop), the already-queued
-        futures are cancelled best-effort before the error propagates.
+        If admission fails partway (shed or stop) or the deadline
+        passes, the still-queued futures are cancelled best-effort before
+        the error propagates, so workers skip texts nobody will read.
         """
         futures: list["Future[PredictionResult]"] = []
         try:
@@ -598,34 +597,36 @@ class BatchingServerBase:
         if timeout is None:
             return [f.result() for f in futures]
         deadline = time.perf_counter() + timeout
-        return [
-            f.result(timeout=max(0.0, deadline - time.perf_counter()))
-            for f in futures
-        ]
+        try:
+            return [
+                f.result(timeout=max(0.0, deadline - time.perf_counter()))
+                for f in futures
+            ]
+        except FutureTimeoutError:
+            # Nobody reads the rest: free their worker capacity.
+            for f in futures:
+                f.cancel()
+            raise
 
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
     def _collect_batch(self) -> tuple[list[_QueueItem], bool]:
-        """Block for one request, then coalesce briefly. -> (batch, stop)"""
+        """Block for one request, then take what is queued. -> (batch, stop)
+
+        Work-conserving: never held open for traffic that has not arrived.
+        """
         batch: list[_QueueItem] = []
         stop = False
         with self._mutex:
             while not self._items:
                 self._not_empty.wait()
-            deadline = time.perf_counter() + self.max_wait_ms / 1000.0
-            while len(batch) < self.max_batch_size and not stop:
-                if self._items:
-                    item = self._items.popleft()
-                    if isinstance(item, _StopSentinel):
-                        stop = True
-                    else:
-                        batch.append(item)
-                    continue
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
+            while self._items and len(batch) < self.max_batch_size:
+                item = self._items.popleft()
+                if isinstance(item, _StopSentinel):
+                    stop = True
                     break
-                self._not_empty.wait(remaining)
+                batch.append(item)
             if batch:
                 self._not_full.notify(len(batch))
         return batch, stop
@@ -749,11 +750,9 @@ class InferenceServer(BatchingServerBase):
     workers:
         Number of serving threads (and engine replicas).
     max_batch_size:
-        Hard cap on texts per coalesced batch.
-    max_wait_ms:
-        How long a worker holds an open batch hoping for more traffic;
-        the first request in a batch never waits longer than this before
-        inference starts.
+        Hard cap on texts per batch.  A free worker takes whatever is
+        queued up to this cap and runs it at once; it never waits for
+        more traffic, so batches form only while every worker is busy.
     max_queue:
         Bound on requests admitted but not yet picked up by a worker.
     overload:
@@ -768,14 +767,12 @@ class InferenceServer(BatchingServerBase):
         *,
         workers: int = 1,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         overload: str = "block",
     ) -> None:
         super().__init__(
             workers=workers,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             max_queue=max_queue,
             overload=overload,
         )

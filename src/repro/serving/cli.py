@@ -104,13 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the platform default)",
     )
     parser.add_argument(
-        "--max-batch-size", type=int, default=32, help="texts per coalesced batch"
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="how long a worker holds an open batch for more traffic",
+        "--max-batch-size",
+        type=int,
+        default=32,
+        help="cap on texts per batch; a free worker runs what is queued at once",
     )
     parser.add_argument(
         "--max-queue", type=int, default=512, help="admission queue bound"
@@ -205,7 +202,6 @@ def _build_entry_server(args, checkpoint: Path):
             checkpoint,
             workers=args.worker_processes,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue,
             overload=args.overload,
             start_method=args.start_method,
@@ -229,7 +225,6 @@ def _build_entry_server(args, checkpoint: Path):
         engine,
         workers=args.workers,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
         overload=args.overload,
     )
@@ -268,7 +263,10 @@ def main(argv: list[str] | None = None) -> int:
             weight,
             ", shadow" if shadow else "",
         )
-        server, baseline = _build_entry_server(args, checkpoint)
+        try:
+            server, baseline = _build_entry_server(args, checkpoint)
+        except (ValueError, FileNotFoundError) as error:
+            parser.error(str(error))
         entries.append(
             ModelEntry(name, server, weight=weight, shadow=shadow, baseline=baseline)
         )

@@ -324,7 +324,12 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                     ],
                 }
             else:
-                result = entry.server.submit(texts[0]).result(timeout=timeout_s)
+                future = entry.server.submit(texts[0])
+                try:
+                    result = future.result(timeout=timeout_s)
+                except FutureTimeoutError:
+                    future.cancel()  # answered 504: no worker should serve it
+                    raise
                 body = {
                     "model_id": entry.model_id,
                     "served_by": envelope,

@@ -317,7 +317,6 @@ def _make_server() -> InferenceServer:
         PredictionEngine(_TinyBackend(), model_id="loadgen-test", cache_size=0),
         workers=2,
         max_batch_size=8,
-        max_wait_ms=0.5,
         max_queue=256,
         overload="block",
     )

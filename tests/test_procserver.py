@@ -385,7 +385,7 @@ class TestWorkerOverlap:
         # Four workers answer four concurrent requests in about one
         # service time; workers that serialised would take four.
         workers = 4
-        kwargs = dict(workers=workers, max_batch_size=1, max_wait_ms=0.0)
+        kwargs = dict(workers=workers, max_batch_size=1)
         if processes:
             server = ProcessInferenceServer.from_factory(make_sleepy_engine, **kwargs)
         else:
@@ -418,7 +418,6 @@ class TestAdmissionSemantics:
             make_slow_engine,
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=2,
             overload="shed",
         )
@@ -565,7 +564,6 @@ class TestFaultInjectionUnderLoad:
             make_hash_engine,
             workers=2,
             max_batch_size=4,
-            max_wait_ms=0.5,
             max_queue=256,
             overload="block",
         )

@@ -67,7 +67,6 @@ class TestMultiWorkerCorrectness:
             make_engine(SlowBackend(0.005)),
             workers=4,
             max_batch_size=8,
-            max_wait_ms=1.0,
         )
         results: dict[str, tuple] = {}
         lock = threading.Lock()
@@ -127,7 +126,6 @@ class TestBackpressure:
             make_engine(SlowBackend(0.05)),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=4,
             overload="shed",
         )
@@ -152,7 +150,6 @@ class TestBackpressure:
             make_engine(SlowBackend(0.02)),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=2,
             overload="block",
         )
@@ -172,7 +169,6 @@ class TestBackpressure:
             make_engine(SlowBackend(0.1)),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=1,
             overload="block",
         )
@@ -221,7 +217,6 @@ class TestDrainAndStopRaces:
             make_engine(SlowBackend(0.002)),
             workers=2,
             max_batch_size=4,
-            max_wait_ms=0.5,
         )
         server.start()
         admitted: list[Future] = []
@@ -260,7 +255,6 @@ class TestDrainAndStopRaces:
             make_engine(SlowBackend(0.05)),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
         )
         with server:
             futures = [server.submit(f"text {i}") for i in range(5)]
@@ -312,7 +306,6 @@ class TestSharedDeadline:
             make_engine(SlowBackend(0.15)),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
         )
         with server:
             started = time.perf_counter()
@@ -320,6 +313,20 @@ class TestSharedDeadline:
                 server.predict([f"slow {i}" for i in range(5)], timeout=0.3)
             elapsed = time.perf_counter() - started
         assert elapsed < 1.0  # nowhere near 5 × 0.3
+
+    def test_timed_out_predict_cancels_unserved_texts(self):
+        """Regression: predict() raised at the deadline but left the rest
+        of its futures queued, so workers served texts nobody read."""
+        server = InferenceServer(
+            make_engine(SlowBackend(0.05)), workers=1, max_batch_size=1
+        )
+        with server:
+            with pytest.raises(FutureTimeoutError):
+                server.predict([f"late {i}" for i in range(10)], timeout=0.06)
+            time.sleep(1.0)  # all ten would have been served by now
+            # The first text was served and the second was already
+            # running at the deadline; the other eight were skipped.
+            assert server.stats.requests <= 2
 
     def test_predict_none_timeout_waits_for_everything(self):
         server = InferenceServer(
@@ -330,6 +337,46 @@ class TestSharedDeadline:
                 [f"t {i}" for i in range(8)], timeout=None
             )
         assert len(results) == 8
+
+
+class GatedBackend(DeterministicBackend):
+    """Blocks its first batch until released; records every batch size."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.batch_sizes: list[int] = []
+
+    def proba_batch(self, texts: list[str]) -> np.ndarray:
+        self.batch_sizes.append(len(texts))
+        self.entered.set()
+        self.release.wait(timeout=10)
+        return super().proba_batch(texts)
+
+
+class TestBatchingPolicy:
+    """Work-conserving dispatch: a free worker runs what is queued now."""
+
+    def test_lone_submitter_is_not_held(self):
+        server = InferenceServer(make_engine(), workers=2)
+        with server:
+            latencies = [
+                server.submit(f"alone {i}").result(timeout=10).latency_ms
+                for i in range(50)
+            ]
+        assert np.median(latencies) < 1.0, latencies
+
+    def test_work_queued_behind_a_busy_worker_coalesces(self):
+        backend = GatedBackend()
+        server = InferenceServer(make_engine(backend), workers=1)
+        with server:
+            first = server.submit("first")
+            assert backend.entered.wait(timeout=10)
+            queued = [server.submit(f"queued {i}") for i in range(10)]
+            backend.release.set()
+            for future in [first, *queued]:
+                future.result(timeout=10)
+        assert backend.batch_sizes == [1, 10]
 
 
 class TestStatsSnapshot:
@@ -459,7 +506,6 @@ class TestGracefulDrain:
             make_engine(SlowBackend(0.2)),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=1,
             overload="block",
         )
@@ -519,7 +565,7 @@ class TestWorkerThreadReplacement:
 
     def _server_with_collect_bomb(self, workers: int = 1) -> InferenceServer:
         server = InferenceServer(
-            make_engine(), workers=workers, max_batch_size=4, max_wait_ms=0.5
+            make_engine(), workers=workers, max_batch_size=4
         )
         original = server._serve_batch
         state = {"armed": True}
@@ -548,7 +594,7 @@ class TestWorkerThreadReplacement:
 
     def test_replacement_survives_repeated_deaths(self):
         server = InferenceServer(
-            make_engine(), workers=2, max_batch_size=1, max_wait_ms=0.0
+            make_engine(), workers=2, max_batch_size=1
         )
         original = server._serve_batch
         counter = {"left": 3}

@@ -232,7 +232,6 @@ class TestBackpressureAndErrors:
             SlowBackend(0.05),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=1,
             overload="shed",
         ) as (gateway, _):
@@ -273,7 +272,6 @@ class TestBackpressureAndErrors:
             SlowBackend(0.02),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=1,
             overload="shed",
         ) as (gateway, _):
@@ -300,7 +298,6 @@ class TestBackpressureAndErrors:
             SlowBackend(0.5),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=1,
             overload="shed",
         ) as (gateway, server):
@@ -389,7 +386,6 @@ class TestRetryJitter:
             SlowBackend(0.02),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=1,
             overload="shed",
         ) as (gateway, _):
@@ -573,7 +569,6 @@ class TestMetrics:
             SlowBackend(0.1),
             workers=1,
             max_batch_size=1,
-            max_wait_ms=0.0,
             max_queue=1,
             overload="shed",
         ) as (gateway, server):
@@ -604,3 +599,34 @@ class TestMetrics:
             server.drain()
             samples = client.metrics()
             assert samples[("holistix_ready", frozenset({("model_id", "stub")}))] == 0
+
+
+class TestServeCli:
+    """``holistix-serve`` reports a bad setting as a usage error, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, small_dataset, tmp_path_factory):
+        from repro.core.pipeline import WellnessClassifier
+
+        path = tmp_path_factory.mktemp("serve-cli") / "lr"
+        return WellnessClassifier("LR").fit(small_dataset.instances).save(path)
+
+    @pytest.mark.parametrize("flag", ["--workers", "--max-queue", "--max-batch-size"])
+    def test_bad_pool_setting_is_a_usage_error(self, checkpoint, flag, capsys):
+        from repro.serving.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--checkpoint", str(checkpoint), "--port", "0", flag, "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err
+        assert "Traceback" not in err
+
+    def test_missing_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        from repro.serving.cli import main
+
+        missing = tmp_path / "no-such-checkpoint"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--checkpoint", str(missing), "--port", "0"])
+        assert excinfo.value.code == 2
+        assert str(missing) in capsys.readouterr().err

@@ -359,6 +359,42 @@ class TestDeadlineShedding:
             assert snapshot.deadline_shed == 1
             assert snapshot.shed == 0  # counted apart from overload sheds
 
+    def test_timed_out_request_is_not_served(self):
+        """Regression: a single-text request answered 504 stayed queued,
+        and the worker later served a text nobody would read."""
+
+        class Gated(SlowBackend):
+            def __init__(self) -> None:
+                super().__init__(0.2)
+                self.entered = threading.Event()
+
+            def proba_batch(self, texts):
+                self.entered.set()
+                return super().proba_batch(texts)
+
+        backend = Gated()
+        with gateway_over(backend, workers=1) as (gateway, server):
+            first: list = []
+            occupy = threading.Thread(
+                target=lambda: first.append(
+                    _post(gateway.url, "/v1/predict", {"text": "occupy"})
+                )
+            )
+            occupy.start()
+            assert backend.entered.wait(timeout=10)  # the only worker is busy
+            status, payload = _post(
+                gateway.url,
+                "/v1/predict",
+                {"text": "too slow"},
+                headers={"X-Deadline-Ms": "50"},
+            )
+            occupy.join(timeout=10)
+            time.sleep(0.4)  # both would have been served by now
+            assert status == 504
+            assert payload["error"]["code"] == "deadline_exceeded"
+            assert first and first[0][0] == 200
+            assert server.stats.snapshot().requests == 1
+
     def test_generous_budget_is_served(self):
         backend = SlowBackend(0.01)
         with gateway_over(backend, workers=1) as (gateway, _server):
