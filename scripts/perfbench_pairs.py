@@ -15,13 +15,21 @@ prints, for every end-to-end metric:
 * each side's median and quartiles;
 * how many pairs the change won (ties count for neither side);
 * the ratio of the medians, change over parent;
-* a verdict: ``gain`` when the change won at least 9 in 10 pairs and
-  the medians differ by more than the parent's interquartile range,
-  ``worse`` when the change's median is worse than the parent's by more
-  than the metric's ``BENCHMARK.json`` bound.
+* a verdict, the first of these that applies:
 
-It lists every run's metrics, ``correct``, ``failed`` and pacer note,
-and exits 1 if any run failed, exited non-zero or was not correct.
+  - ``gain`` when the change won at least 9 in 10 pairs and the medians
+    differ by more than the parent's interquartile range;
+  - ``worse`` when the change's median is worse than the parent's by
+    more than the metric's ``BENCHMARK.json`` bound;
+  - ``unresolved`` when either side's interquartile range, relative to
+    that side's median, is wider than the bound, unless every change
+    run beats every parent run: the runs spread too widely to tell;
+  - ``holds`` otherwise.
+
+It prints each side's failed and attempted operations over all its
+runs, lists every run's metrics, ``correct``, ``failed`` and pacer
+note, and exits 1 if any run failed, exited non-zero or was not
+correct.
 
 Stdlib only: it shells out to perfbench and imports neither perfbench
 nor the program.  The first run in each tree builds that tree's
@@ -109,6 +117,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def relative_spread(values: list[float]) -> float:
+    """Interquartile range over the median."""
+    q1, median, q3 = quartiles(values)
+    if median:
+        return (q3 - q1) / abs(median)
+    return 0.0 if q3 == q1 else float("inf")
+
+
 def summarize(runs: list[Run], spec: dict[str, dict] | None = None) -> list[str]:
     """The report, one line per list item.
 
@@ -140,11 +156,16 @@ def summarize(runs: list[Run], spec: dict[str, dict] | None = None) -> list[str]
         pq1, pmed, pq3 = quartiles(parent)
         cq1, cmed, cq3 = quartiles(change)
         gained = (pmed - cmed) if lower else (cmed - pmed)
-        verdict = ""
+        spread = max(relative_spread(parent), relative_spread(change))
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
         if wins >= WIN_SHARE * len(pairs) and gained > pq3 - pq1:
             verdict = "gain"
         elif pmed and -gained / pmed > bound:
             verdict = f"worse (bound {bound:.0%})"
+        elif spread > bound and not beats_all:
+            verdict = f"unresolved (spread {spread:.0%} > bound {bound:.0%})"
+        else:
+            verdict = "holds"
         ratio = f"{cmed / pmed:.3f}" if pmed else "-"
         lines.append(
             f"{name:<18}"
@@ -152,6 +173,13 @@ def summarize(runs: list[Run], spec: dict[str, dict] | None = None) -> list[str]
             f"{f'{cmed:.4g} [{cq1:.4g}-{cq3:.4g}]':>28}"
             f"{f'{wins}/{len(pairs)}':>8}{ratio:>8}  {verdict}"
         )
+    lines.append("")
+    totals = [
+        f"{side} {sum(r.failed for r in runs if r.side == side)}"
+        f"/{sum(r.attempted for r in runs if r.side == side)}"
+        for side in SIDES
+    ]
+    lines.append(f"failed/attempted over all runs: {', '.join(totals)}")
     lines.append("")
     lines.append("runs:")
     for run in sorted(runs, key=lambda r: (r.seed, SIDES.index(r.side))):

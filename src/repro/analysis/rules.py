@@ -1,4 +1,4 @@
-"""Repo-specific AST lint rules (HX001–HX006).
+"""Repo-specific AST lint rules (HX001–HX004, HX006).
 
 Each rule encodes one invariant the serving stack's correctness leans
 on.  They are deliberately *heuristic*: the goal is to make the easy
@@ -14,7 +14,6 @@ HX001     shared-state field written outside its owning ``with lock``
 HX002     blocking call while holding a lock
 HX003     wall-clock / global randomness in seeded (deterministic) code
 HX004     ``threading.Thread`` without an explicit ``daemon=`` decision
-HX005     Prometheus metric-name and label conventions
 HX006     chaos seam used without a ``None`` guard
 ========  ==============================================================
 """
@@ -552,130 +551,6 @@ class HX004ThreadOwnership(Rule):
 
 
 # ---------------------------------------------------------------------------
-# HX005 — Prometheus naming conventions
-# ---------------------------------------------------------------------------
-
-
-class HX005MetricConventions(Rule):
-    """Metric families follow the exposition-format conventions.
-
-    Checks literal arguments of the repo's ``family(name, kind, ...)``
-    and ``_sample(name, value, labels)`` helpers: names are
-    ``holistix_``-prefixed snake_case, counter families end
-    ``_total``, non-counter families do not, and label keys are
-    snake_case.  Dynamic names (f-strings, variables) are skipped —
-    :func:`repro.serving.metrics.parse_metrics` round-trips catch those
-    in tests.
-    """
-
-    rule_id = "HX005"
-    summary = "Prometheus metric name/label convention violation"
-
-    _NAME_RE = re.compile(r"^holistix_[a-z][a-z0-9_]*[a-z0-9]$")
-    _LABEL_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
-    _NON_TOTAL_KINDS = ("gauge", "histogram", "summary")
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        violations: list[Violation] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = self._callee_name(node.func)
-            if callee == "family":
-                violations.extend(self._check_family(ctx, node))
-            if callee in ("family", "_sample", "sample"):
-                violations.extend(self._check_labels(ctx, node))
-            if callee in ("_sample", "sample"):
-                violations.extend(self._check_sample(ctx, node))
-        return violations
-
-    def _callee_name(self, func: ast.expr) -> str | None:
-        if isinstance(func, ast.Name):
-            return func.id
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        return None
-
-    def _literal_str(self, node: ast.expr | None) -> str | None:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        return None
-
-    def _check_family(self, ctx: FileContext, call: ast.Call) -> list[Violation]:
-        args = call.args
-        name = self._literal_str(args[0] if args else None)
-        kind = self._literal_str(args[1] if len(args) > 1 else None)
-        violations: list[Violation] = []
-        if name is not None and not self._NAME_RE.match(name):
-            violations.append(
-                self._violation(
-                    ctx,
-                    call,
-                    f"metric family {name!r} must be holistix_-prefixed "
-                    "snake_case ([a-z0-9_])",
-                )
-            )
-        if name is not None and kind is not None:
-            if kind == "counter" and not name.endswith("_total"):
-                violations.append(
-                    self._violation(
-                        ctx,
-                        call,
-                        f"counter family {name!r} must end '_total' "
-                        "(Prometheus counter convention)",
-                    )
-                )
-            elif kind in self._NON_TOTAL_KINDS and name.endswith("_total"):
-                violations.append(
-                    self._violation(
-                        ctx,
-                        call,
-                        f"{kind} family {name!r} must not end '_total' "
-                        "(reserved for counters)",
-                    )
-                )
-        return violations
-
-    def _check_sample(self, ctx: FileContext, call: ast.Call) -> list[Violation]:
-        name = self._literal_str(call.args[0] if call.args else None)
-        if name is None:
-            return []
-        base = self._NAME_RE.match(name)
-        # _sum/_count suffixes on summary families are legal samples.
-        if base is None:
-            return [
-                self._violation(
-                    ctx,
-                    call,
-                    f"sample name {name!r} must be holistix_-prefixed "
-                    "snake_case ([a-z0-9_])",
-                )
-            ]
-        return []
-
-    def _check_labels(self, ctx: FileContext, call: ast.Call) -> list[Violation]:
-        violations: list[Violation] = []
-        candidates: list[ast.expr] = list(call.args) + [
-            kw.value for kw in call.keywords
-        ]
-        for arg in candidates:
-            if not isinstance(arg, ast.Dict):
-                continue
-            for key in arg.keys:
-                literal = self._literal_str(key)
-                if literal is not None and not self._LABEL_RE.match(literal):
-                    violations.append(
-                        self._violation(
-                            ctx,
-                            call,
-                            f"label name {literal!r} must be snake_case "
-                            "([a-z_][a-z0-9_]*)",
-                        )
-                    )
-        return violations
-
-
-# ---------------------------------------------------------------------------
 # HX006 — chaos seams must be None-guarded
 # ---------------------------------------------------------------------------
 
@@ -871,7 +746,6 @@ ALL_RULES: tuple[Rule, ...] = (
     HX002BlockingUnderLock(),
     HX003SeededDeterminism(),
     HX004ThreadOwnership(),
-    HX005MetricConventions(),
     HX006ChaosSeamGuard(),
 )
 

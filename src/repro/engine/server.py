@@ -122,11 +122,10 @@ class StatsSnapshot:
     stopped_at: float | None
     per_worker_requests: tuple[int, ...]
     latencies_ms: tuple[float, ...]
-    # Trailing defaulted fields so older positional constructions keep
-    # working: serving-thread deaths (replaced in place) and requests
+    # Serving threads that died and were replaced in place, and requests
     # shed because their propagated deadline could not be met.
-    worker_thread_deaths: int = 0
-    deadline_shed: int = 0
+    worker_thread_deaths: int
+    deadline_shed: int
 
     @property
     def mean_batch_size(self) -> float:
@@ -163,17 +162,14 @@ class ServerStats:
     """Thread-safe aggregate serving counters.
 
     All mutation happens under an internal lock; readers call
-    :meth:`snapshot` for an immutable, consistent view.  The legacy
-    attribute API (``stats.requests``, ``stats.mean_latency_ms``,
-    ``stats.latency_percentile(95)``, ``stats.throughput()``) is kept as
-    lock-taking delegates to a fresh snapshot.
+    :meth:`snapshot` for an immutable, consistent view.
 
     Counters are *epoched*: every ``InferenceServer.start()`` after a
-    ``stop()`` resets them and bumps ``epoch``, so ``throughput()``
-    never mixes a previous epoch's requests (or inter-epoch downtime)
-    into the current denominator.  Percentiles are computed over a
-    bounded window of the most recent requests so a long-running
-    server's memory stays constant.
+    ``stop()`` resets them and bumps ``epoch``, so
+    :meth:`StatsSnapshot.throughput` never mixes a previous epoch's
+    requests (or inter-epoch downtime) into the current denominator.
+    Percentiles are computed over a bounded window of the most recent
+    requests so a long-running server's memory stays constant.
     """
 
     def __init__(self, *, n_workers: int = 1, window: int = 10_000) -> None:
@@ -247,7 +243,7 @@ class ServerStats:
             self._deadline_shed += n
 
     # ------------------------------------------------------------------
-    # Readers
+    # Reader
     # ------------------------------------------------------------------
     def snapshot(self) -> StatsSnapshot:
         """Consistent copy of every counter, taken under the lock."""
@@ -267,91 +263,6 @@ class ServerStats:
                 worker_thread_deaths=self._worker_deaths,
                 deadline_shed=self._deadline_shed,
             )
-
-    @property
-    def epoch(self) -> int:
-        with self._lock:
-            return self._epoch
-
-    @property
-    def requests(self) -> int:
-        with self._lock:
-            return self._requests
-
-    @property
-    def batches(self) -> int:
-        with self._lock:
-            return self._batches
-
-    @property
-    def shed(self) -> int:
-        with self._lock:
-            return self._shed
-
-    @property
-    def worker_thread_deaths(self) -> int:
-        with self._lock:
-            return self._worker_deaths
-
-    @property
-    def deadline_shed(self) -> int:
-        with self._lock:
-            return self._deadline_shed
-
-    @property
-    def largest_batch(self) -> int:
-        with self._lock:
-            return self._largest_batch
-
-    @property
-    def max_latency_ms(self) -> float:
-        with self._lock:
-            return self._max_latency_ms
-
-    @property
-    def started_at(self) -> float | None:
-        with self._lock:
-            return self._started_at
-
-    @property
-    def stopped_at(self) -> float | None:
-        with self._lock:
-            return self._stopped_at
-
-    @property
-    def mean_batch_size(self) -> float:
-        # Scalar reads take the lock directly; only the percentile path
-        # needs the O(window) latency copy a snapshot makes.
-        with self._lock:
-            return self._requests / self._batches if self._batches else 0.0
-
-    @property
-    def mean_latency_ms(self) -> float:
-        with self._lock:
-            if not self._requests:
-                return 0.0
-            return self._total_latency_ms / self._requests
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency at percentile ``q`` in [0, 100] over recent requests."""
-        with self._lock:
-            window = tuple(self._latencies_ms)
-        if not window:
-            return 0.0
-        ranked = sorted(window)
-        idx = min(len(ranked) - 1, int(round(q / 100.0 * (len(ranked) - 1))))
-        return ranked[idx]
-
-    def throughput(self) -> float:
-        """Served requests per second of the current epoch's uptime."""
-        with self._lock:
-            started, stopped = self._started_at, self._stopped_at
-            requests = self._requests
-        if started is None:
-            return 0.0
-        end = stopped if stopped is not None else time.perf_counter()
-        elapsed = end - started
-        return requests / elapsed if elapsed > 0 else 0.0
 
 
 class BatchingServerBase:

@@ -9,6 +9,8 @@ stable public name and its published configuration.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.models.config import ModelConfig
@@ -151,33 +153,43 @@ class TransformerClassifier(Module):
     ) -> Tensor:
         return cross_entropy(self.forward(token_ids), labels)
 
-    def predict(self, texts: list[str], *, batch_size: int = 64) -> np.ndarray:
-        """Predicted class ids for raw texts (inference mode)."""
+    def _infer(
+        self,
+        texts: list[str],
+        batch_size: int,
+        head: Callable[[Tensor], np.ndarray],
+    ) -> list[np.ndarray]:
+        """``head`` of the class logits, per ``batch_size`` chunk of texts.
+
+        Runs in eval mode without a tape, and restores the caller's
+        train/eval mode afterwards, even when the forward raises.
+        """
         from repro.nn.tensor import no_grad
 
+        was_training = self.training
         self.eval()
-        outputs: list[np.ndarray] = []
-        with no_grad():
-            for start in range(0, len(texts), batch_size):
-                chunk = texts[start : start + batch_size]
-                token_ids = self.encode_batch(chunk)
-                outputs.append(self.forward(token_ids).data.argmax(axis=1))
-        self.train()
+        try:
+            with no_grad():
+                return [
+                    head(self.forward(self.encode_batch(texts[i : i + batch_size])))
+                    for i in range(0, len(texts), batch_size)
+                ]
+        finally:
+            if was_training:
+                self.train()
+
+    def predict(self, texts: list[str], *, batch_size: int = 64) -> np.ndarray:
+        """Predicted class ids for raw texts (inference mode)."""
+        outputs = self._infer(
+            texts, batch_size, lambda logits: logits.data.argmax(axis=1)
+        )
         return np.concatenate(outputs) if outputs else np.empty(0, dtype=np.int64)
 
     def predict_proba(self, texts: list[str], *, batch_size: int = 64) -> np.ndarray:
         """Class probabilities for raw texts (used by LIME)."""
-        from repro.nn.tensor import no_grad
-
-        self.eval()
-        outputs: list[np.ndarray] = []
-        with no_grad():
-            for start in range(0, len(texts), batch_size):
-                chunk = texts[start : start + batch_size]
-                token_ids = self.encode_batch(chunk)
-                logits = self.forward(token_ids)
-                outputs.append(logits.softmax(axis=-1).data)
-        self.train()
+        outputs = self._infer(
+            texts, batch_size, lambda logits: logits.softmax(axis=-1).data
+        )
         if not outputs:
             return np.empty((0, self.n_classes))
         return np.concatenate(outputs)

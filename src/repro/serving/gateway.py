@@ -184,8 +184,13 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     def _handle_metrics(self) -> None:
         gateway = self.gateway
         fleet = gateway.fleet
+        # One snapshot per entry: the unlabelled families and the default
+        # entry's {model} families must read the same instant.
+        snapshots = {
+            entry.name: entry.server.stats.snapshot() for entry in fleet.entries
+        }
         body = render_metrics(
-            gateway.server.stats.snapshot(),
+            snapshots[fleet.default],
             gateway.server.engine_stats(),
             gateway.http_counters.snapshot(),
             ready=gateway.ready,
@@ -195,7 +200,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             models=[
                 {
                     "name": entry.name,
-                    "snapshot": entry.server.stats.snapshot(),
+                    "snapshot": snapshots[entry.name],
                     "traffic_share": fleet.traffic_share(entry),
                     "weights_version": entry.weights_version,
                     "shadow": entry.shadow,

@@ -341,9 +341,10 @@ class TestInferenceServer:
         with server:
             results = server.predict(texts)
         assert [r.label for r in results] == direct
-        assert server.stats.requests == len(texts)
-        assert 1 <= server.stats.batches <= len(texts)
-        assert server.stats.mean_latency_ms >= 0.0
+        stats = server.stats.snapshot()
+        assert stats.requests == len(texts)
+        assert 1 <= stats.batches <= len(texts)
+        assert stats.mean_latency_ms >= 0.0
 
     def test_submit_requires_running_server(self, fitted_lr):
         server = InferenceServer(fitted_lr.engine)

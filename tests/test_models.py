@@ -99,6 +99,19 @@ class TestClassifier:
         probs = model.predict_proba(["i cannot sleep at night"])
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
 
+    @pytest.mark.parametrize("method", ["predict", "predict_proba"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_inference_keeps_the_callers_mode(self, vocab, method, training):
+        """Regression: predict and predict_proba ended with an unconditional
+        train(), so dropout went live on a model the caller had put in eval."""
+        model = TransformerClassifier(_tiny("BERT"), vocab, 6)
+        if training:
+            model.train()
+        else:
+            model.eval()
+        getattr(model, method)(["i feel alone", "my job is gone"])
+        assert all(module.training is training for module in model.modules())
+
     def test_vocab_without_specials_rejected(self):
         bare = Vocabulary(["a", "b"], specials=False)
         with pytest.raises(ValueError):

@@ -61,6 +61,17 @@ def canned_runs(n: int = 10):
     return runs
 
 
+def paired_runs(columns: dict[str, tuple[list[float], list[float]]]):
+    """One run per side and seed; seed ``i + 1`` reads each metric's ``i``-th values."""
+    runs = []
+    for i in range(len(next(iter(columns.values()))[0])):
+        for index, side in enumerate(pairs.SIDES):
+            run = pairs.Run(i + 1, side, first=index == i % 2, correct=True)
+            run.metrics = {name: sides[index][i] for name, sides in columns.items()}
+            runs.append(run)
+    return runs
+
+
 def metric_row(lines: list[str], name: str) -> str:
     return next(line for line in lines if line.startswith(name))
 
@@ -93,6 +104,35 @@ class TestSummary:
         assert all("pacer lateness" in line for line in listed[:4])
         assert "exit 3: invalid run" in listed[4]
         assert lines[0].startswith("2 pairs")  # a pair needs both sides
+
+    def test_spread_wider_than_the_bound_is_unresolved_unless_separated(self):
+        steady = [10.0 + 0.01 * i for i in range(10)]
+        noisy = [4.0, 5.0, 6.0, 7.0, 8.0] * 2  # IQR 2 around a median of 6
+        wide = [10.0, 11.0, 12.0, 13.0, 14.0, 26.0, 27.0, 28.0, 29.0, 30.0]
+        lines = pairs.summarize(
+            paired_runs(
+                {
+                    "steady": (steady, steady[::-1]),
+                    "noisy": (noisy, noisy[::-1]),
+                    # Every change run beats every parent run, but by less
+                    # than the parent's IQR: no gain, and not unresolved.
+                    "separated": (wide, [9.5] * 10),
+                }
+            )
+        )
+        assert metric_row(lines, "steady").endswith("  holds")
+        assert metric_row(lines, "noisy").endswith(
+            "  unresolved (spread 33% > bound 25%)"
+        )
+        assert metric_row(lines, "separated").endswith("10/10   0.475  holds")
+        canned = pairs.summarize(canned_runs(), SPEC)
+        assert metric_row(canned, "p99_ms").endswith("  holds")
+
+    def test_failed_and_attempted_are_totalled_per_side(self):
+        runs = canned_runs(2)
+        runs[-1].failed = 3
+        lines = pairs.summarize(runs, SPEC)
+        assert "failed/attempted over all runs: parent 0/4800, change 3/4800" in lines
 
     def test_a_result_line_is_required(self):
         run = pairs.parse_output(pairs.Run(1, "parent", True), "Traceback ...\n")

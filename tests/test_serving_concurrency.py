@@ -139,8 +139,8 @@ class TestBackpressure:
                     sheds += 1
             # Admitted requests still drain and resolve on stop.
         assert sheds > 0
-        assert server.stats.shed == sheds
         snap = server.stats.snapshot()
+        assert snap.shed == sheds
         assert snap.shed_rate == pytest.approx(sheds / (sheds + snap.requests))
         for f in admitted:
             assert f.result(timeout=5).label in DIMENSIONS
@@ -161,7 +161,7 @@ class TestBackpressure:
         # 10 serial 20 ms batches behind a 2-deep queue: the submit loop
         # itself must have blocked waiting for space.
         assert submit_elapsed > 0.05
-        assert server.stats.shed == 0
+        assert server.stats.snapshot().shed == 0
         assert [r.text for r in results] == [f"steady {i}" for i in range(10)]
 
     def test_stop_unblocks_waiting_submitter_with_server_closed(self):
@@ -246,7 +246,7 @@ class TestDrainAndStopRaces:
         assert admitted
         for f in admitted:
             assert f.result(timeout=5).label in DIMENSIONS
-        assert server.stats.requests == len(admitted)
+        assert server.stats.snapshot().requests == len(admitted)
         with pytest.raises(ServerClosed):
             server.submit("too late")
 
@@ -326,7 +326,7 @@ class TestSharedDeadline:
             time.sleep(1.0)  # all ten would have been served by now
             # The first text was served and the second was already
             # running at the deadline; the other eight were skipped.
-            assert server.stats.requests <= 2
+            assert server.stats.snapshot().requests <= 2
 
     def test_predict_none_timeout_waits_for_everything(self):
         server = InferenceServer(
@@ -396,10 +396,6 @@ class TestStatsSnapshot:
         assert snap.latency_percentile(100) == 4.0
         with pytest.raises(AttributeError):
             snap.requests = 99  # frozen
-        # The legacy attribute API delegates to a snapshot.
-        assert stats.requests == 4
-        assert stats.mean_batch_size == pytest.approx(2.0)
-        assert stats.latency_percentile(100) == 4.0
 
     def test_percentile_reads_race_concurrent_writers(self):
         """Regression: latency_percentile used to sort the live deque the
@@ -418,10 +414,9 @@ class TestStatsSnapshot:
         try:
             deadline = time.perf_counter() + 0.4
             while time.perf_counter() < deadline:
-                p95 = stats.latency_percentile(95)
-                assert 0.0 <= p95 <= 4.0
-                assert stats.mean_latency_ms >= 0.0
-                stats.snapshot()
+                snap = stats.snapshot()
+                assert 0.0 <= snap.latency_percentile(95) <= 4.0
+                assert snap.mean_latency_ms >= 0.0
         finally:
             done.set()
             thread.join(timeout=5)
@@ -431,8 +426,9 @@ class TestStatsSnapshot:
         stats = ServerStats(window=8)
         stats.mark_started()
         stats.record_batch([float(i) for i in range(32)])
-        assert len(stats.snapshot().latencies_ms) == 8
-        assert stats.latency_percentile(0) == 24.0  # oldest retained
+        snap = stats.snapshot()
+        assert len(snap.latencies_ms) == 8
+        assert snap.latency_percentile(0) == 24.0  # oldest retained
 
 
 class TestServerLifecycle:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.engine.engine import PredictionEngine
-from repro.engine.server import InferenceServer
+from repro.engine.server import InferenceServer, ServerStats
 from repro.serving.client import (
     GatewayOverloaded,
     GatewayUnavailable,
@@ -546,6 +546,25 @@ class TestMetrics:
                 ("holistix_engine_cache_hits_total", frozenset())
             ]
             assert hits >= 2
+
+    def test_one_scrape_snapshots_the_default_entry_once(self):
+        """Regression: /metrics snapshotted the default entry twice, so a
+        batch finishing mid-scrape made the unlabelled families and the
+        default entry's {model} families disagree within one scrape."""
+
+        class MidScrapeStats(ServerStats):
+            def snapshot(self):
+                self.record_batch([1.0])  # a worker finishing mid-scrape
+                return super().snapshot()
+
+        server = InferenceServer(make_engine())
+        server.stats = MidScrapeStats()
+        with ServingGateway(server) as gateway:
+            samples = ServingClient(gateway.url).metrics()
+        default = frozenset({("model", "default")})
+        assert samples[("holistix_server_requests_total", frozenset())] == (
+            samples[("holistix_requests_total", default)]
+        )
 
     def test_label_values_with_commas_and_quotes_round_trip(self):
         from repro.engine.engine import EngineStats
