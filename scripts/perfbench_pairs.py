@@ -29,7 +29,10 @@ prints, for every end-to-end metric:
 It prints each side's failed and attempted operations over all its
 runs, lists every run's metrics, ``correct``, ``failed`` and pacer
 note, and exits 1 if any run failed, exited non-zero or was not
-correct.
+correct.  Beside each pacer note it prints the host's mean CPU steal
+over that run, read from ``/proc/stat`` (read only) before and after
+it: a run's p50 tracks the steal it met, so the column tells a noisy
+run from a real change.  Steal does not enter the verdicts.
 
 Stdlib only: it shells out to perfbench and imports neither perfbench
 nor the program.  The first run in each tree builds that tree's
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 PERFBENCH = ("python3", "perfbench/run.py")
+PROC_STAT = Path("/proc/stat")
 SIDES = ("parent", "change")
 # The share of pairs the change must win for a gain, and the default
 # direction and bound of a metric BENCHMARK.json does not list.
@@ -67,6 +71,7 @@ class Run:
     metrics: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     error: str = ""
+    steal: float | None = None  # the host's mean CPU steal share
 
     @property
     def pacer_note(self) -> str:
@@ -107,6 +112,33 @@ def parse_output(run: Run, stdout: str) -> Run:
     run.failed = int(result["failed"])
     run.metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return run
+
+
+def cpu_times(stat: str) -> list[int]:
+    """The aggregate ``cpu`` line of ``/proc/stat`` text, as tick counts."""
+    for line in stat.splitlines():
+        if line.startswith("cpu "):
+            return [int(ticks) for ticks in line.split()[1:]]
+    raise ValueError("no aggregate cpu line")
+
+
+def read_cpu_times() -> list[int] | None:
+    """The host's CPU tick counts now; None where ``/proc/stat`` is unreadable."""
+    try:
+        return cpu_times(PROC_STAT.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return None
+
+
+def steal_share(before: list[int], after: list[int]) -> float:
+    """Share of all CPU time stolen by the hypervisor between two readings.
+
+    The first eight fields are user, nice, system, idle, iowait, irq,
+    softirq and steal; guest time is already counted in user and nice.
+    """
+    deltas = [b - a for a, b in zip(before[:8], after[:8])]
+    total = sum(deltas)
+    return deltas[7] / total if len(deltas) == 8 and total > 0 else 0.0
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -192,7 +224,11 @@ def describe(run: Run) -> str:
     values = " ".join(f"{k}={v:.4g}" for k, v in run.metrics.items())
     status = run.error or f"correct={run.correct} failed={run.failed}/{run.attempted}"
     order = "first " if run.first else "second"
-    return f"seed {run.seed:>3} {run.side:<6} {order} {status}  {values}  {run.pacer_note}"
+    steal = "steal -" if run.steal is None else f"steal {run.steal:.1%}"
+    return (
+        f"seed {run.seed:>3} {run.side:<6} {order} {status}  {values}  "
+        f"{run.pacer_note}  {steal}"
+    )
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> str:
@@ -239,12 +275,16 @@ def main(argv: list[str] | None = None) -> int:
         order = SIDES if seed % 2 else SIDES[::-1]
         for position, side in enumerate(order):
             run = Run(seed, side, first=position == 0)
+            before = read_cpu_times()
             try:
                 stdout = run_perfbench(trees[side], args.workload, seed, args.seconds)
             except (RuntimeError, subprocess.TimeoutExpired) as error:
                 run.error = str(error)
             else:
                 parse_output(run, stdout)
+            after = read_cpu_times()
+            if before is not None and after is not None:
+                run.steal = steal_share(before, after)
             runs.append(run)
             print(describe(run), file=sys.stderr, flush=True)
 

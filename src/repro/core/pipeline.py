@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.dataset import HolistixDataset
 from repro.core.labels import DIMENSIONS, WellnessDimension
 from repro.engine.engine import PredictionEngine, bump_weights_version
 from repro.engine.registry import (
@@ -33,6 +32,7 @@ from repro.text.tfidf import TfidfVectorizer
 from repro.text.vocab import Vocabulary
 
 if TYPE_CHECKING:
+    from repro.core.dataset import HolistixDataset
     from repro.explain.lime import Explanation
 
 __all__ = ["WellnessClassifier", "TRADITIONAL_BASELINES", "TRANSFORMER_BASELINES"]
@@ -187,7 +187,7 @@ class WellnessClassifier:
         """Probability matrix ``(n, 6)`` in DIMENSIONS order."""
         return self.engine.predict_proba(list(texts))
 
-    def accuracy(self, dataset: HolistixDataset) -> float:
+    def accuracy(self, dataset: "HolistixDataset") -> float:
         """Accuracy over an annotated dataset."""
         predictions = self.predict(dataset.texts)
         gold = dataset.labels
@@ -277,9 +277,6 @@ class WellnessClassifier:
         hold the views by reference (``restore_array_state`` assigns,
         inference never writes fitted state) — true zero-copy serving.
         """
-        from repro.models.config import ModelConfig
-        from repro.nn.serialization import restore_array_state
-
         classifier = cls(
             config["baseline"],
             max_features=config["max_features"],
@@ -292,14 +289,21 @@ class WellnessClassifier:
             if name.startswith("model.")
         }
         if config["kind"] == "transformer":
+            from repro.models.config import ModelConfig
+
             vocab = Vocabulary(config["vocab_tokens"], specials=True)
             model_config = ModelConfig(**config["model_config"])
             model = transformer_class(config["baseline"])(
                 vocab, n_classes=config["n_classes"], config=model_config
             )
             model.load_state_dict(model_arrays)
+            # A checkpoint is loaded to serve: eval mode, so no forward
+            # has to walk the module tree to switch modes.
+            model.eval()
             classifier._model = model
         else:
+            from repro.nn.serialization import restore_array_state
+
             classifier._vectorizer = TfidfVectorizer.from_state(
                 config["vectorizer"], arrays["vectorizer.idf"]
             )

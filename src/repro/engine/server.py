@@ -30,6 +30,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -108,7 +109,8 @@ class StatsSnapshot:
     Taken under the stats lock, so every field belongs to the same
     instant and the percentile window cannot mutate mid-``sorted``.
     ``latencies_ms`` is the bounded recent-request window the
-    percentiles are computed over.
+    percentiles are computed over; it is ranked once per snapshot, on
+    the first percentile read.
     """
 
     epoch: int
@@ -141,11 +143,18 @@ class StatsSnapshot:
         offered = self.requests + self.shed
         return self.shed / offered if offered else 0.0
 
+    @cached_property
+    def _ranked_ms(self) -> list[float]:
+        return sorted(self.latencies_ms)
+
     def latency_percentile(self, q: float) -> float:
-        """Latency at percentile ``q`` in [0, 100] over recent requests."""
+        """Latency at percentile ``q`` in [0, 100] over recent requests.
+
+        0.0 for an empty window.
+        """
         if not self.latencies_ms:
             return 0.0
-        ranked = sorted(self.latencies_ms)
+        ranked = self._ranked_ms
         idx = min(len(ranked) - 1, int(round(q / 100.0 * (len(ranked) - 1))))
         return ranked[idx]
 
@@ -558,15 +567,17 @@ class BatchingServerBase:
             return
         now = time.perf_counter()
         results: list[tuple[Future[PredictionResult], PredictionResult]] = []
-        for (text, future, enqueued), row, class_id in zip(live, probs, ids):
+        for (text, future, enqueued), row, class_id in zip(
+            live, probs.tolist(), ids.tolist()
+        ):
             latency_ms = (now - enqueued) * 1000.0
             results.append(
                 (
                     future,
                     PredictionResult(
                         text=text,
-                        label=DIMENSIONS[int(class_id)],
-                        probabilities=tuple(float(p) for p in row),
+                        label=DIMENSIONS[class_id],
+                        probabilities=tuple(row),
                         latency_ms=latency_ms,
                     ),
                 )

@@ -6,29 +6,46 @@ produced by ``TfidfVectorizer(sparse_output=True)``
 predictions.
 """
 
-from repro.ml.logistic import LogisticRegression, softmax
-from repro.ml.metrics import (
-    ClassificationReport,
-    ClassMetrics,
-    accuracy,
-    classification_report,
-    confusion_matrix,
-    precision_recall_f1,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ml.logistic": (
+            "LogisticRegression",
+            "softmax",
+        ),
+        "repro.ml.metrics": (
+            "ClassificationReport",
+            "ClassMetrics",
+            "accuracy",
+            "classification_report",
+            "confusion_matrix",
+            "precision_recall_f1",
+        ),
+        "repro.ml.model_selection": (
+            "KFold",
+            "StratifiedKFold",
+            "cross_validate",
+            "train_test_split",
+        ),
+        "repro.ml.multilabel": (
+            "MultiLabelMetrics",
+            "OneVsRestClassifier",
+            "multilabel_metrics",
+        ),
+        "repro.ml.naive_bayes": (
+            "GaussianNaiveBayes",
+        ),
+        "repro.ml.preprocessing": (
+            "LabelEncoder",
+            "StandardScaler",
+        ),
+        "repro.ml.svm": (
+            "LinearSVM",
+        ),
+    },
 )
-from repro.ml.model_selection import (
-    KFold,
-    StratifiedKFold,
-    cross_validate,
-    train_test_split,
-)
-from repro.ml.multilabel import (
-    MultiLabelMetrics,
-    OneVsRestClassifier,
-    multilabel_metrics,
-)
-from repro.ml.naive_bayes import GaussianNaiveBayes
-from repro.ml.preprocessing import LabelEncoder, StandardScaler
-from repro.ml.svm import LinearSVM
 
 __all__ = [
     "ClassMetrics",

@@ -26,15 +26,21 @@ ride in the same checkpoint format as the neural state dicts.
 from __future__ import annotations
 
 import json
-import secrets
 import sys
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn.layers import Module
+if TYPE_CHECKING:
+    from multiprocessing import shared_memory
+
+    from repro.nn.layers import Module
+
+# ``multiprocessing.shared_memory`` and ``secrets`` are imported where
+# ``SharedCheckpoint`` uses them: a checkpoint loaded from disk in one
+# process needs neither, nor the autograd layers the type hints name.
 
 __all__ = [
     "SharedArraySpec",
@@ -173,6 +179,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     for this; older interpreters get a momentary no-op ``register``
     swap around the ``SharedMemory`` constructor.
     """
+    from multiprocessing import shared_memory
+
     if sys.version_info >= (3, 13):  # pragma: no cover - newer interpreters
         return shared_memory.SharedMemory(name=name, create=False, track=False)
     from multiprocessing import resource_tracker
@@ -241,6 +249,9 @@ class SharedCheckpoint:
         weights_version: int = 1,
     ) -> "SharedCheckpoint":
         """Create a segment holding ``arrays`` and return the owner handle."""
+        import secrets
+        from multiprocessing import shared_memory
+
         if not arrays:
             raise ValueError("cannot publish an empty checkpoint")
         specs: list[SharedArraySpec] = []

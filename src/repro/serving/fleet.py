@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import uuid
 from collections.abc import Sequence
 
 from repro.analysis.lockcheck import create_lock
@@ -241,11 +242,20 @@ class ModelFleet:
         ).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
 
-    def route(self, model: str | None, request_id: str) -> ModelEntry:
-        """Apply the routing table: explicit > A/B split > default."""
+    def route(self, model: str | None, request_id: str | None) -> ModelEntry:
+        """Apply the routing table: explicit > A/B split > default.
+
+        Without a ``request_id`` a split of two or more entries is
+        sampled with a fresh uuid, which converges on the configured
+        traffic shares; a split of one entry needs no id at all.
+        """
         if model is not None:
             return self.entry(model)
-        if self._split and self._total_weight > 0:
+        if len(self._split) == 1:
+            return self._split[0]
+        if self._split:
+            if request_id is None:
+                request_id = uuid.uuid4().hex
             point = self.split_fraction(request_id) * self._total_weight
             cumulative = 0.0
             for entry in self._split:

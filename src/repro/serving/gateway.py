@@ -45,7 +45,6 @@ import socket
 import struct
 import threading
 import time
-import uuid
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -102,6 +101,11 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, address, handler, gateway: "ServingGateway") -> None:
         self.gateway = gateway
+        # (second, formatted) for the ``Date`` header: every response in
+        # one second carries the same value, so it is formatted once.
+        # Replacing the tuple is one atomic store: handler threads need
+        # no lock.
+        self.date_header: tuple[int, str] = (-1, "")
         super().__init__(address, handler)
 
 
@@ -283,12 +287,9 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             )
             return
         # Routing: explicit model > seeded A/B split on the request id >
-        # default entry.  Without a client-supplied request id the split
-        # is sampled fresh per request (uuid), which converges on the
-        # configured traffic shares.
-        request_id = request.request_id or uuid.uuid4().hex
+        # default entry (see ModelFleet.route).
         try:
-            entry = gateway.fleet.route(request.model, request_id)
+            entry = gateway.fleet.route(request.model, request.request_id or None)
         except UnknownModelError as error:
             self._send_error(
                 404, "model_not_found", str(error), route=route,
@@ -734,7 +735,21 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def log_message(self, format: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), format % args)
+        # send_response logs every request; format the line only when
+        # it will be printed.
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s %s", self.address_string(), format % args)
+
+    def date_time_string(self, timestamp: float | None = None) -> str:
+        """The ``Date`` header value, formatted once per second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second = int(time.time())
+        cached = self.server.date_header
+        if cached[0] != second:
+            cached = (second, super().date_time_string(second))
+            self.server.date_header = cached
+        return cached[1]
 
 
 class ServingGateway:

@@ -47,7 +47,7 @@ def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _sample(name: str, value: float, labels: dict[str, str]) -> str:
+def _sample(name: str, value: float | str, labels: dict[str, str]) -> str:
     if labels:
         rendered = ",".join(
             f'{k}="{_escape_label_value(v)}"' for k, v in sorted(labels.items())
@@ -58,6 +58,9 @@ def _sample(name: str, value: float, labels: dict[str, str]) -> str:
 
 #: The latency quantiles every summary family reports, as percentiles.
 _QUANTILES = (50, 95, 99)
+# The exposition format spells not-a-number ``NaN``; ``str(math.nan)``
+# is ``nan``.
+_NAN = "NaN"
 _KINDS = ("counter", "gauge", "summary")
 # Prometheus's naming rules (https://prometheus.io/docs/practices/naming/),
 # narrowed to this exporter's ``holistix_`` namespace.
@@ -419,9 +422,12 @@ def render_metrics(
                 continue
             for q in _QUANTILES:
                 quantile = {**labels, "quantile": str(q / 100.0)}
-                lines.append(
-                    _sample(family.name, value.latency_percentile(q), quantile)
+                # An empty window has no quantiles: NaN, Prometheus's
+                # "no data", not a latency of 0 ms.
+                observed = (
+                    value.latency_percentile(q) if value.latencies_ms else _NAN
                 )
+                lines.append(_sample(family.name, observed, quantile))
             lines.append(_sample(f"{family.name}_sum", value.total_latency_ms, labels))
             lines.append(_sample(f"{family.name}_count", value.requests, labels))
     return "\n".join(lines) + "\n"

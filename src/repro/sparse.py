@@ -106,6 +106,29 @@ class CSRMatrix:
         return cls(array[rows, cols], cols, indptr, array.shape)
 
     @classmethod
+    def _trusted(
+        cls,
+        data: np.ndarray,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+        shape: tuple[int, int],
+    ) -> "CSRMatrix":
+        """Wrap arrays without the checks ``__init__`` makes.
+
+        Only for producers that have just built ``data`` (float64),
+        ``indices`` and ``indptr`` (int64) themselves and know they
+        satisfy those checks; re-validating them would cost a one-text
+        transform more than its arithmetic does.
+        """
+        matrix = cls.__new__(cls)
+        matrix.data = data
+        matrix.indices = indices
+        matrix.indptr = indptr
+        matrix.shape = shape
+        matrix._row_nnz = None
+        return matrix
+
+    @classmethod
     def from_rows(
         cls,
         rows: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -193,7 +216,8 @@ class CSRMatrix:
         Each output column is a segment sum of the per-nnz contributions
         grouped by row, computed with ``np.bincount`` (one C pass per
         output column — measured faster than ``reduceat``/cumsum
-        variants at TF-IDF sizes).
+        variants at TF-IDF sizes).  A one-row matrix (one text being
+        served) is one gather and one product over its non-zeros.
         """
         other = np.asarray(other, dtype=np.float64)
         if other.shape[0] != self.shape[1]:
@@ -203,13 +227,16 @@ class CSRMatrix:
         vector = other.ndim == 1
         if vector:
             other = other[:, None]
-        rows = self._row_of_nnz()
         gathered = other[self.indices]
-        out = np.empty((self.shape[0], other.shape[1]), dtype=np.float64)
-        for j in range(other.shape[1]):
-            out[:, j] = np.bincount(
-                rows, weights=self.data * gathered[:, j], minlength=self.shape[0]
-            )
+        if self.shape[0] == 1:
+            out = (self.data @ gathered)[None, :]
+        else:
+            rows = self._row_of_nnz()
+            out = np.empty((self.shape[0], other.shape[1]), dtype=np.float64)
+            for j in range(other.shape[1]):
+                out[:, j] = np.bincount(
+                    rows, weights=self.data * gathered[:, j], minlength=self.shape[0]
+                )
         return out[:, 0] if vector else out
 
     def transpose_matmul(self, other: np.ndarray) -> np.ndarray:

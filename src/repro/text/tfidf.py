@@ -38,7 +38,7 @@ True
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, _count_elements
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -119,7 +119,7 @@ class TfidfVectorizer:
         self._vocab: Vocabulary | None = None
         self._idf: np.ndarray | None = None
         self._index: dict[str, int] = {}
-        self._count_cache: dict[str, Counter[str]] = {}
+        self._count_cache: dict[str, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     def _analyze(self, text: str) -> list[str]:
@@ -137,7 +137,7 @@ class TfidfVectorizer:
             )
         return terms
 
-    def _count_cached(self, text: str, *, store: bool = False) -> Counter[str]:
+    def _count_cached(self, text: str, *, store: bool = False) -> dict[str, int]:
         """Term counts of ``text``, memoised per document.
 
         The analyser's behaviour is fixed at construction time (the
@@ -151,10 +151,16 @@ class TfidfVectorizer:
         Only ``fit`` stores (``store=True``): the cache stays bounded by
         the training corpus instead of growing with every inference
         request a long-lived serving vectoriser ever sees.
+
+        Counts go into a plain dict, in first-occurrence order, through
+        the C counting loop ``Counter`` itself runs; constructing a
+        ``Counter`` per text would add its Python-level set-up to every
+        one-text request.
         """
         counts = self._count_cache.get(text)
         if counts is None:
-            counts = Counter(self._analyze(text))
+            counts = {}
+            _count_elements(counts, self._analyze(text))
             if store and len(self._count_cache) < _COUNT_CACHE_LIMIT:
                 self._count_cache[text] = counts
         return counts
@@ -235,29 +241,37 @@ class TfidfVectorizer:
             raise RuntimeError("TfidfVectorizer must be fitted before transform")
         index = self._index
         flat_cols: list[int] = []
-        flat_tf: list[float] = []
-        lengths: list[int] = []
+        flat_tf: list[int] = []
+        ends = [0]
         for doc in documents:
-            before = len(flat_cols)
             for term, count in self._count_cached(doc).items():
                 j = index.get(term)
                 if j is not None:
                     flat_cols.append(j)
                     flat_tf.append(count)
-            lengths.append(len(flat_cols) - before)
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
+            ends.append(len(flat_cols))
+        indptr = np.asarray(ends, dtype=np.int64)
         indices = np.asarray(flat_cols, dtype=np.int64)
-        tf = np.asarray(flat_tf, dtype=np.float64)
+        weighted = np.asarray(flat_tf, dtype=np.float64)
         if self.sublinear_tf:
-            tf = 1.0 + np.log(tf)
-        matrix = CSRMatrix(
-            tf * self._idf[indices],
+            weighted = 1.0 + np.log(weighted)
+        weighted *= self._idf[indices]
+        # Weight and L2-normalise in one pass, in as few numpy calls as
+        # the arithmetic allows: a one-text request pays for each call,
+        # not for the few numbers it touches.  The row norms are
+        # differences of one running sum of squares, exactly what
+        # ``CSRMatrix.row_norms`` computes, so the output is bitwise
+        # what ``normalized_rows`` would return; an empty row repeats
+        # its (zero) scale zero times.
+        running = np.concatenate(([0.0], np.cumsum(weighted**2)))
+        norms = np.sqrt(np.diff(running[indptr]))
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        return CSRMatrix._trusted(
+            weighted * np.repeat(scale, np.diff(indptr)),
             indices,
             indptr,
-            (len(lengths), len(self._idf)),
+            (len(ends) - 1, len(self._idf)),
         )
-        return matrix.normalized_rows()
 
     # ------------------------------------------------------------------
     # Persistence

@@ -379,6 +379,29 @@ class TestInferenceServer:
         assert is_grad_enabled()
         assert fitted_transformer._model.training  # eval/train restored
 
+    def test_loaded_checkpoint_serves_without_switching_modes(
+        self, fitted_transformer, small_dataset, tmp_path, monkeypatch
+    ):
+        # A checkpoint loads in eval mode, so no served forward walks the
+        # module tree through eval() and back through train().
+        from repro.nn.layers import Module
+
+        texts = small_dataset.texts[:6]
+        direct = fitted_transformer.predict(texts)
+        restored = WellnessClassifier.load(fitted_transformer.save(tmp_path / "ckpt"))
+        model = restored.model
+        assert not model.training
+        switches: list[str] = []
+        monkeypatch.setattr(Module, "eval", lambda self: switches.append("eval"))
+        monkeypatch.setattr(Module, "train", lambda self: switches.append("train"))
+        server = InferenceServer(restored.engine, max_batch_size=4)
+        with server:
+            results = server.predict(texts, timeout=60)
+        assert [r.label for r in results] == direct
+        assert switches == []
+        assert not model.training
+        assert all(not module.training for module in model.modules())
+
     def test_multi_worker_replicas_match_direct_predict(
         self, fitted_lr, small_dataset
     ):

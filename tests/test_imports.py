@@ -3,9 +3,12 @@
 * **The serve path imports only what it uses.**  ``holistix-serve`` with
   thread workers never loads the corpus generator, the annotation
   simulator, LIME, networkx, the AST linter, the process-worker stack or
-  the HTTP client; start-up time and resident memory follow the module
-  count.  Checked in a fresh interpreter, since this test process has
-  long since imported all of them.
+  the HTTP client, and an LR-only start loads none of the autograd
+  layers, the transformer models and their trainer, the other classical
+  estimators, the metrics, the dataset builder or shared memory;
+  start-up time and resident memory follow the module count.  Checked
+  in a fresh interpreter, since this test process has long since
+  imported all of them.
 * **Re-exports resolve to their definitions.**  Every name in a
   package's ``__all__`` is the object its defining module holds, even
   after every submodule has been imported: a lazily re-exported name
@@ -41,10 +44,28 @@ SERVE_PATH_EXCLUDES = (
     "repro.serving.client",
 )
 
+# Everything an LR checkpoint does not use, on top of the above.
+LR_PATH_EXCLUDES = (
+    "multiprocessing.shared_memory",
+    "repro.core.dataset",
+    "repro.ml.metrics",
+    "repro.ml.model_selection",
+    "repro.ml.naive_bayes",
+    "repro.ml.svm",
+    "repro.models",
+    "repro.models.trainer",
+    "repro.nn.layers",
+    "repro.nn.optim",
+    "repro.nn.tensor",
+    "secrets",
+)
+
 REEXPORTING_PACKAGES = (
     "repro",
     "repro.core",
     "repro.engine",
+    "repro.ml",
+    "repro.nn",
     "repro.serving",
     "repro.text",
     "repro.models",
@@ -65,37 +86,49 @@ def checkpoints(tmp_path_factory, small_dataset) -> list[Path]:
     return paths
 
 
+def loaded_after_building_entries(checkpoints: list[Path]) -> set[str]:
+    """``sys.modules`` of a fresh interpreter that built one entry per checkpoint."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from pathlib import Path
+
+        from repro.serving import cli
+
+        args = cli.build_parser().parse_args(["--checkpoint", sys.argv[1]])
+        for checkpoint in sys.argv[1:]:
+            cli._build_entry_server(args, Path(checkpoint))
+        print("\\n".join(sys.modules))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *map(str, checkpoints)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "repro.serving.gateway" in loaded  # the script really ran
+    return loaded
+
+
 class TestServePathImports:
     def test_thread_worker_entries_load_no_offline_modules(self, checkpoints):
-        script = textwrap.dedent(
-            """
-            import sys
-            from pathlib import Path
-
-            from repro.serving import cli
-
-            args = cli.build_parser().parse_args(["--checkpoint", sys.argv[1]])
-            for checkpoint in sys.argv[1:]:
-                cli._build_entry_server(args, Path(checkpoint))
-            print("\\n".join(sys.modules))
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script, *map(str, checkpoints)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        loaded = set(result.stdout.split())
-        assert "repro.serving.gateway" in loaded  # the script really ran
+        loaded = loaded_after_building_entries(checkpoints)
         assert "repro.models.classifier" in loaded  # ... through both entries
         assert sorted(loaded.intersection(SERVE_PATH_EXCLUDES)) == []
+
+    def test_lr_entry_loads_no_training_or_transformer_modules(self, checkpoints):
+        loaded = loaded_after_building_entries(checkpoints[:1])
+        assert "repro.ml.logistic" in loaded  # the LR entry really loaded
+        excluded = SERVE_PATH_EXCLUDES + LR_PATH_EXCLUDES
+        assert sorted(loaded.intersection(excluded)) == []
 
 
 def _import_every_module() -> None:

@@ -154,6 +154,39 @@ def test_scrape_matches_golden(name):
     assert SCRAPES[name]() == expected
 
 
+def test_a_render_ranks_each_latency_window_once(monkeypatch):
+    # Three quantiles per summary, and the default entry's window feeds
+    # both the unlabelled and its {model} summary: one sort per snapshot
+    # with samples, none for an empty window (its quantiles are NaN).
+    from repro.engine import server
+
+    ranked: list[int] = []
+
+    def counting_sorted(values):
+        ranked.append(len(values))
+        return sorted(values)
+
+    monkeypatch.setattr(server, "sorted", counting_sorted, raising=False)
+    champion = make_snapshot(CHAMPION.latencies_ms, (4, 2), batches=4)
+    challenger = make_snapshot(CHALLENGER.latencies_ms, (3,), batches=2)
+    shadow = make_snapshot((), (0,), batches=0)
+    render_metrics(
+        champion,
+        EngineStats(),
+        {},
+        ready=True,
+        model_id="LR@1",
+        models=[
+            {"name": name, "snapshot": snap, "traffic_share": 0.5,
+             "weights_version": 0, "shadow": name == "shadow"}
+            for name, snap in (
+                ("champion", champion), ("challenger", challenger), ("shadow", shadow)
+            )
+        ],
+    )
+    assert sorted(ranked) == [len(challenger.latencies_ms), len(champion.latencies_ms)]
+
+
 def regenerate() -> None:
     FIXTURES_DIR.mkdir(parents=True, exist_ok=True)
     for name, scrape in SCRAPES.items():

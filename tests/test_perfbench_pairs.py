@@ -138,6 +138,32 @@ class TestSummary:
         run = pairs.parse_output(pairs.Run(1, "parent", True), "Traceback ...\n")
         assert not run.ok and run.error == "no result line"
 
+    def test_steal_share_between_two_proc_stat_snapshots(self):
+        # user nice system idle iowait irq softirq steal guest guest_nice
+        before = pairs.cpu_times(
+            "cpu  1000 10 500 8000 20 0 30 40 700 0\n"
+            "cpu0 500 5 250 4000 10 0 15 20 350 0\n"
+            "intr 12345\n"
+        )
+        after = pairs.cpu_times(
+            "cpu  1600 10 700 8900 20 0 50 240 1100 0\n"
+            "cpu0 800 5 350 4450 10 0 25 120 550 0\n"
+        )
+        assert before[:8] == [1000, 10, 500, 8000, 20, 0, 30, 40]
+        # 200 stolen ticks of 600 + 200 + 900 + 20 + 200 = 1920; the
+        # 400 guest ticks are already inside user.
+        assert pairs.steal_share(before, after) == pytest.approx(200 / 1920)
+        assert pairs.steal_share(before, before) == 0.0
+        with pytest.raises(ValueError):
+            pairs.cpu_times("cpu0 1 2 3 4 5 6 7 8\n")
+
+    def test_each_run_lists_its_steal_beside_the_pacer_note(self):
+        runs = canned_runs(1)
+        runs[0].steal = 0.0312
+        listed = pairs.summarize(runs, SPEC)[-2:]
+        assert listed[0].endswith("0.4% of p99  steal 3.1%")
+        assert listed[1].endswith("0.4% of p99  steal -")  # no reading
+
     @pytest.mark.parametrize(
         "spec, seeds",
         [("1-10", list(range(1, 11))), ("3,5", [3, 5]), ("1-2,11", [1, 2, 11])],
@@ -176,6 +202,28 @@ class TestMain:
         assert "2/2" in metric_row(out.splitlines(), "p50_ms")
         assert "seed   1 parent first " in out and "seed   2 change first " in out
         assert (parent / "order.log").read_text().split() == ["1", "2"]
+
+    def test_reads_host_steal_around_each_run(self, tmp_path, capsys, monkeypatch):
+        parent = fake_tree(tmp_path / "parent", 4.0)
+        change = fake_tree(tmp_path / "change", 2.0)
+        stat = tmp_path / "stat"
+        readings = iter(
+            f"cpu  {100 * i} 0 0 {300 * i} 0 0 0 {steal} 0 0\n"
+            for i, steal in enumerate((0, 100, 100, 100))
+        )
+        real_read = pairs.read_cpu_times
+
+        def canned_read():
+            stat.write_text(next(readings))
+            return real_read()
+
+        monkeypatch.setattr(pairs, "PROC_STAT", stat)
+        monkeypatch.setattr(pairs, "read_cpu_times", canned_read)
+        pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1"])
+        out = capsys.readouterr().out
+        # Parent runs first: 100 of 500 ticks stolen, then none of 400.
+        assert "seed   1 parent first " in out and "steal 20.0%" in out
+        assert "steal 0.0%" in out
 
     def test_exits_one_when_a_run_is_not_correct(self, tmp_path, capsys):
         parent = fake_tree(tmp_path / "parent", 4.0)

@@ -7,6 +7,8 @@ predictions on the corpus generator's fixtures — and the parallel
 experiment runner produces results independent of ``--jobs``.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,19 @@ class TestCSRMatrix:
         out = CSRMatrix.from_dense(dense) @ vec
         assert out.shape == (7,)
         np.testing.assert_allclose(out, dense @ vec)
+
+    def test_one_row_matmul_matches_dense(self):
+        # One row is the one-text serving case, which has its own product.
+        rng = np.random.default_rng(4)
+        other = rng.normal(size=(5, 3))
+        for dense in (_random_dense(rng, shape=(1, 5)), np.zeros((1, 5))):
+            matrix = CSRMatrix.from_dense(dense)
+            np.testing.assert_allclose(matrix @ other, dense @ other)
+            out = matrix @ other[:, 0]
+            assert out.shape == (1,)
+            np.testing.assert_allclose(out, dense @ other[:, 0])
+        twice = CSRMatrix.from_rows([([1, 3, 1], [2.0, 3.0, 4.0])], 5)
+        np.testing.assert_allclose(twice @ other, twice.toarray() @ other)
 
     def test_matmul_shape_mismatch(self):
         matrix = CSRMatrix.from_dense(np.eye(3))
@@ -160,6 +175,36 @@ class TestSparseDenseEquivalence:
         dense, sparse, _ = features
         assert is_sparse(sparse)
         np.testing.assert_allclose(sparse.toarray(), dense, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"sublinear_tf": True, "ngram_range": (1, 2)}]
+    )
+    def test_transform_is_bitwise_the_normalized_rows_reference(
+        self, small_dataset, options
+    ):
+        # transform_sparse weights and normalises in one pass; it must
+        # equal, bit for bit, per-row assembly + normalized_rows().
+        texts = small_dataset.texts
+        vec = TfidfVectorizer(max_features=500, **options).fit(texts)
+        docs = texts[:60] + ["", "zzz unknown words only"]
+        rows = []
+        for doc in docs:
+            counts = Counter(vec._analyze(doc))
+            cols = [vec._index[t] for t in counts if t in vec._index]
+            tf = np.array([counts[t] for t in counts if t in vec._index], dtype=float)
+            if vec.sublinear_tf:
+                tf = 1.0 + np.log(tf)
+            rows.append((cols, tf * vec.idf[cols]))
+        reference = CSRMatrix.from_rows(rows, vec.n_features).normalized_rows()
+        matrix = vec.transform_sparse(docs)
+        assert matrix.data.tobytes() == reference.data.tobytes()
+        np.testing.assert_array_equal(matrix.indices, reference.indices)
+        np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+        for doc, row in zip(docs, rows):
+            one = vec.transform_sparse([doc])
+            alone = CSRMatrix.from_rows([row], vec.n_features).normalized_rows()
+            assert one.data.tobytes() == alone.data.tobytes()
+            np.testing.assert_array_equal(one.indices, alone.indices)
 
     def test_logistic_predictions_identical(self, features):
         dense, sparse, targets = features
