@@ -256,22 +256,9 @@ class TfidfVectorizer:
         if self.sublinear_tf:
             weighted = 1.0 + np.log(weighted)
         weighted *= self._idf[indices]
-        # Weight and L2-normalise in one pass, in as few numpy calls as
-        # the arithmetic allows: a one-text request pays for each call,
-        # not for the few numbers it touches.  The row norms are
-        # differences of one running sum of squares, exactly what
-        # ``CSRMatrix.row_norms`` computes, so the output is bitwise
-        # what ``normalized_rows`` would return; an empty row repeats
-        # its (zero) scale zero times.
-        running = np.concatenate(([0.0], np.cumsum(weighted**2)))
-        norms = np.sqrt(np.diff(running[indptr]))
-        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         return CSRMatrix._trusted(
-            weighted * np.repeat(scale, np.diff(indptr)),
-            indices,
-            indptr,
-            (len(ends) - 1, len(self._idf)),
-        )
+            weighted, indices, indptr, (len(ends) - 1, len(self._idf))
+        ).normalized_rows()
 
     # ------------------------------------------------------------------
     # Persistence

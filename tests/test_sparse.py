@@ -73,17 +73,26 @@ class TestCSRMatrix:
         assert out.shape == (7,)
         np.testing.assert_allclose(out, dense @ vec)
 
-    def test_one_row_matmul_matches_dense(self):
+    def test_one_row_matmul_is_bitwise_its_row_in_a_batch(self):
         # One row is the one-text serving case, which has its own product.
-        rng = np.random.default_rng(4)
-        other = rng.normal(size=(5, 3))
-        for dense in (_random_dense(rng, shape=(1, 5)), np.zeros((1, 5))):
-            matrix = CSRMatrix.from_dense(dense)
-            np.testing.assert_allclose(matrix @ other, dense @ other)
-            out = matrix @ other[:, 0]
+        # PredictionEngine caches scores per text, so that product must be
+        # bitwise what the same row gets in any batch.
+        rng = np.random.default_rng(5)
+        dense = _random_dense(rng, shape=(8, 60), density=0.5)
+        dense[2] = 0.0
+        dense[5] = np.abs(dense[5])
+        other = rng.normal(size=(60, 6))
+        other[:, 0] = -0.0  # row 5's first product sums only -0.0
+        matrix = CSRMatrix.from_dense(dense)
+        batch, batch_vector = matrix @ other, matrix @ other[:, 1]
+        np.testing.assert_allclose(batch, dense @ other)
+        for i in range(matrix.shape[0]):
+            alone = matrix.select_rows([i])
+            assert (alone @ other).tobytes() == batch[i : i + 1].tobytes()
+            out = alone @ other[:, 1]
             assert out.shape == (1,)
-            np.testing.assert_allclose(out, dense @ other[:, 0])
-        twice = CSRMatrix.from_rows([([1, 3, 1], [2.0, 3.0, 4.0])], 5)
+            assert out.tobytes() == batch_vector[i : i + 1].tobytes()
+        twice = CSRMatrix.from_rows([([1, 3, 1], [2.0, 3.0, 4.0])], 60)
         np.testing.assert_allclose(twice @ other, twice.toarray() @ other)
 
     def test_matmul_shape_mismatch(self):
@@ -182,8 +191,9 @@ class TestSparseDenseEquivalence:
     def test_transform_is_bitwise_the_normalized_rows_reference(
         self, small_dataset, options
     ):
-        # transform_sparse weights and normalises in one pass; it must
-        # equal, bit for bit, per-row assembly + normalized_rows().
+        # transform_sparse assembles all rows into flat arrays before it
+        # normalises them; that must equal, bit for bit, assembling each
+        # row on its own + normalized_rows(), for a batch and for one text.
         texts = small_dataset.texts
         vec = TfidfVectorizer(max_features=500, **options).fit(texts)
         docs = texts[:60] + ["", "zzz unknown words only"]
