@@ -34,17 +34,17 @@ Scenarios
     (``use_fused_ops(False)``), plus p50 single-text inference latency
     and padding saved by length-bucketed training batches.
 ``serving_chaos``
-    Replays the committed fault plan (``benchmarks/plans/
-    serving_chaos.json`` — a worker SIGKILL, a worker stall, and a
-    burst of socket-level response faults, all regenerated from a
-    recorded seed and verified against the file) against the full
+    Applies the fixed fault schedule ``CHAOS_SCHEDULE`` — a worker
+    SIGSTOP, a worker SIGKILL and a burst of truncated responses, all
+    from outside the program (``benchmarks/faults.py``) — to the full
     ``ProcessInferenceServer`` → ``ServingGateway`` → resilient
     ``ServingClient`` stack under open-loop Poisson load.  Gates
     chaos-leg availability >= 0.99 (deadline sheds credited back),
     post-fault recovery p99 <= max(2x the clean baseline p99, 250 ms),
-    at least one supervised worker respawn, every planned fault kind
-    applied, and zero orphaned worker processes after shutdown.
-    Primary metric: chaos-leg availability (higher is better).
+    at least one supervised worker respawn, every scheduled fault
+    observed as applied, and zero orphaned worker processes after
+    shutdown.  Primary metric: chaos-leg availability (higher is
+    better).
 
 Timings come from ``_timeit_median``: every measured callable gets
 discarded warm-up iterations followed by median-of-k timing, so
@@ -63,11 +63,15 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+
+from benchmarks.faults import FaultProxy, kill_worker, stall_worker
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT_DIR = REPO_ROOT / "benchmarks" / "records"
@@ -396,23 +400,14 @@ class FixedServiceBackend:
         return np.full((len(texts), 6), 1.0 / 6.0)
 
 
-# The committed fault plan replayed by ``serving_chaos``.  The seed and
-# parameters are the reproducibility contract: the scenario refuses to
-# run if ``benchmarks/plans/serving_chaos.json`` no longer matches what
-# these values regenerate, so the record can never silently describe a
-# different storm than the one in version control.
-CHAOS_PLAN_SEED = 1307
-CHAOS_PLAN_PARAMS = dict(
-    duration_s=4.0,
-    workers=2,
-    crashes=1,
-    stalls=1,
-    stall_s=0.4,
-    socket_bursts=1,
-    burst_window_s=0.3,
-    burst_count=5,
+# The storm ``serving_chaos`` applies, in seconds from the start of its
+# chaos leg.  ``target`` is a worker slot; the truncation burst faults
+# the next ``count`` responses within ``duration_s``.
+CHAOS_SCHEDULE: tuple[dict, ...] = (
+    {"at_s": 1.57, "kind": "worker_stall", "target": 1, "duration_s": 0.4},
+    {"at_s": 2.239, "kind": "worker_crash", "target": 1},
+    {"at_s": 2.608, "kind": "truncate_response", "duration_s": 0.3, "count": 5},
 )
-CHAOS_PLAN_PATH = REPO_ROOT / "benchmarks" / "plans" / "serving_chaos.json"
 
 
 def _chaos_engine_factory():
@@ -426,19 +421,48 @@ def _chaos_engine_factory():
     )
 
 
+def _apply_chaos_schedule(server, proxy, t0, cancel, log) -> None:
+    """Apply ``CHAOS_SCHEDULE`` from outside the server, timed from ``t0``.
+
+    A worker fault signals the pid its slot reports at that moment;
+    ``log`` gets ``(seconds since t0, kind, target)`` for each one the
+    process was alive to receive (for a stall: at the stop and at the
+    continue).  ``cancel`` abandons the events not yet due.
+    """
+    for event in CHAOS_SCHEDULE:
+        if cancel.wait(max(0.0, t0 + event["at_s"] - time.monotonic())):
+            return
+        kind = event["kind"]
+        if kind == "truncate_response":
+            proxy.fault_next("truncate", event["count"])
+            cancel.wait(event["duration_s"])
+            proxy.clear()
+            continue
+        at_s = round(time.monotonic() - t0, 3)
+        report = server.worker_processes()[event["target"]]
+        if not report["alive"]:
+            continue
+        pid = report["pid"]
+        if kind == "worker_stall":
+            applied = stall_worker(pid, event["duration_s"]) == (True, True)
+        else:
+            applied = kill_worker(pid)
+        if applied:
+            log.append((at_s, kind, event["target"]))
+
+
 def scenario_serving_chaos(quick: bool) -> dict:
-    """Replay the committed fault plan and gate on recovery, not speed.
+    """Apply the fault schedule from outside and gate on recovery, not speed.
 
     Boots the full production stack — ``ProcessInferenceServer`` (two
-    spawn-started worker processes under the background supervisor)
-    behind a loopback ``ServingGateway``, driven by a resilient
-    ``ServingClient`` — then runs three open-loop Poisson legs:
+    worker processes under the background supervisor) behind a loopback
+    ``ServingGateway``, driven by a resilient ``ServingClient`` through a
+    ``FaultProxy`` — then runs three open-loop Poisson legs:
 
     1. **Baseline** — clean traffic; its p99 is the recovery yardstick.
-    2. **Chaos** — arms ``benchmarks/plans/serving_chaos.json`` (a
-       worker SIGKILL, a worker stall, and a burst of socket-level
-       response faults, all seeded and committed) and keeps offering
-       load for the plan's full duration.
+    2. **Chaos** — a timer thread applies ``CHAOS_SCHEDULE`` (SIGSTOP one
+       worker, SIGKILL it, truncate a burst of responses at the proxy)
+       while load continues until one second after the last fault.
     3. **Recovery** — after the supervisor reports every worker slot
        alive again, the baseline workload repeats.
 
@@ -447,37 +471,30 @@ def scenario_serving_chaos(quick: bool) -> dict:
     storm; deadline sheds are credited back — shedding is policy, not
     failure), recovery p99 <= max(2x baseline p99, 250 ms) (the floor
     absorbs scheduler noise), at least one supervised worker respawn,
-    every planned fault kind actually applied, and zero orphaned worker
+    every scheduled fault observed as applied, and zero orphaned worker
     processes after shutdown.  The primary metric is the chaos-leg
-    availability; per-leg histograms and the injector's fired-fault
-    timeline land in ``serving_chaos_histogram.json``.
+    availability; per-leg histograms, the schedule and the observed
+    fault log land in ``serving_chaos_histogram.json``.
     """
-    from repro.chaos import FaultInjector, FaultPlan
     from repro.corpus.factory import CorpusFactory
     from repro.engine.procserver import ProcessInferenceServer
     from repro.loadgen import poisson_schedule, run_open_loop
     from repro.serving.client import ServingClient
     from repro.serving.gateway import ServingGateway
 
-    seed = CHAOS_PLAN_SEED
+    seed = 1307
     corpus_n = 4_000 if quick else 12_000
     started = time.perf_counter()
     texts = CorpusFactory().texts(seed, corpus_n)
     corpus_s = time.perf_counter() - started
 
-    plan = FaultPlan.load(CHAOS_PLAN_PATH)
-    regenerated = FaultPlan.generate(CHAOS_PLAN_SEED, **CHAOS_PLAN_PARAMS)
-    if plan.timeline() != regenerated.timeline():
-        raise AssertionError(
-            "benchmarks/plans/serving_chaos.json does not match the plan "
-            f"regenerated from seed {CHAOS_PLAN_SEED}; regenerate the "
-            "committed plan or fix CHAOS_PLAN_PARAMS"
-        )
-
     rate = 80.0 if quick else 120.0
     leg_s = 1.5 if quick else 3.0
-    chaos_s = plan.duration_s + 1.0
+    chaos_s = 1.0 + max(
+        event["at_s"] + event.get("duration_s", 0.0) for event in CHAOS_SCHEDULE
+    )
     seen_pids: set[int] = set()
+    fault_log: list[tuple[float, str, int | None]] = []
 
     def note_pids(server) -> tuple[int, int]:
         """Record live worker pids; returns (alive, restarts_total)."""
@@ -500,10 +517,9 @@ def scenario_serving_chaos(quick: bool) -> dict:
         supervisor_interval_s=0.1,
         respawn_backoff_base_s=0.05,
     )
-    injector = FaultInjector(plan)
-    with ServingGateway(server) as gateway:
+    with ServingGateway(server) as gateway, FaultProxy(gateway.port) as proxy:
         client = ServingClient(
-            gateway.url,
+            proxy.url,
             deadline_s=10.0,
             retry_seed=seed,
             breaker_threshold=8,
@@ -523,20 +539,38 @@ def scenario_serving_chaos(quick: bool) -> dict:
             )
         note_pids(server)
 
-        # The storm: arm the committed plan and keep offering load for
-        # its whole duration.  The resilient client may retry through
-        # socket faults; the supervisor must replace the SIGKILLed
-        # worker; nothing here is allowed to need manual intervention.
+        # The storm: the fault timer applies the schedule while load
+        # continues.  The resilient client may retry through truncated
+        # responses; the supervisor must replace the SIGKILLed worker;
+        # nothing here is allowed to need manual intervention.
         sheds_before = server.stats.snapshot().deadline_shed
-        gateway.arm_chaos(injector)
-        chaos_leg = run_open_loop(
-            poisson_schedule(rate, duration_s=chaos_s, seed=seed + 1),
-            lambda text, at: client.predict(text, intended_at=at),
-            texts,
-            max_in_flight=256,
-            deadline_s=10.0,
+        cancel = threading.Event()
+        t0 = time.monotonic()
+        timer = threading.Thread(
+            target=_apply_chaos_schedule,
+            args=(server, proxy, t0, cancel, fault_log),
+            name="chaos-schedule",
+            daemon=False,
         )
-        gateway.disarm_chaos()
+        timer.start()
+        try:
+            chaos_leg = run_open_loop(
+                poisson_schedule(rate, duration_s=chaos_s, seed=seed + 1),
+                lambda text, at: client.predict(text, intended_at=at),
+                texts,
+                max_in_flight=256,
+                deadline_s=10.0,
+            )
+        finally:
+            # No signal may outlive the leg: a pid recycled after the
+            # server stops must never receive one.
+            cancel.set()
+            timer.join()
+        fault_log.extend(
+            (round(at - t0, 3), "truncate_response", None)
+            for at, _kind in proxy.faulted()
+        )
+        fault_log.sort()
         deadline_sheds = server.stats.snapshot().deadline_shed - sheds_before
         note_pids(server)
 
@@ -571,7 +605,7 @@ def scenario_serving_chaos(quick: bool) -> dict:
         recovery_wait_s = time.perf_counter() - recovery_wait_started
         if restarts_total < 1:
             raise AssertionError(
-                "no supervised respawn happened; the plan's worker_crash "
+                "no supervised respawn happened; the scheduled worker_crash "
                 "never bit or the supervisor is dead"
             )
 
@@ -600,12 +634,14 @@ def scenario_serving_chaos(quick: bool) -> dict:
             f"{baseline.p99_ms:.1f}ms, 250ms floor)"
         )
 
-    applied = injector.applied_counts()
-    missing = sorted(set(plan.kinds()) - set(applied))
-    if missing:
+    scheduled = Counter()
+    for event in CHAOS_SCHEDULE:
+        scheduled[event["kind"]] += event.get("count", 1)
+    observed = Counter(kind for _, kind, _ in fault_log)
+    if observed != scheduled:
         raise AssertionError(
-            f"planned fault kinds never applied: {missing} "
-            f"(applied: {applied}, fired: {injector.fired_log()})"
+            f"scheduled faults {dict(scheduled)} were not all observed as "
+            f"applied: {dict(observed)} (log: {fault_log})"
         )
 
     # Every worker pid observed during the run must be gone once the
@@ -653,23 +689,18 @@ def scenario_serving_chaos(quick: bool) -> dict:
             ),
             "client_retries": client_stats["retries"],
             "client_transport_failures": client_stats["transport_failures"],
-            "injected_faults": sum(applied.values()),
+            "injected_faults": len(fault_log),
             "orphan_processes": 0,
         },
         "artifacts": {
             "serving_chaos_histogram.json": {
                 "scenario": "serving_chaos",
                 "note": (
-                    "per-leg latency histograms plus the injector's "
-                    "fired-fault timeline for the committed plan"
+                    "per-leg latency histograms plus the fault schedule "
+                    "and the faults observed as applied"
                 ),
-                "plan": {
-                    "seed": CHAOS_PLAN_SEED,
-                    "params": dict(CHAOS_PLAN_PARAMS),
-                    "timeline": [list(entry) for entry in plan.timeline()],
-                },
-                "applied_counts": applied,
-                "fired_log": [list(entry) for entry in injector.fired_log()],
+                "schedule": [dict(event) for event in CHAOS_SCHEDULE],
+                "fault_log": [list(entry) for entry in fault_log],
                 "error_types": dict(chaos_leg.error_types),
                 "legs": {
                     "baseline": baseline.histogram.to_dict(),

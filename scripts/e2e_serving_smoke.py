@@ -508,12 +508,11 @@ def phase_chaos_admin(checkpoint: Path, log_dir: Path) -> None:
     Boots ``holistix-serve --worker-processes 2 --admin-token``, then:
     a bad token gets 403 (and so does a missing one), reloading the
     same checkpoint over HTTP bumps ``weights_version`` without
-    changing predictions, arming a one-crash fault plan through
-    ``POST /v1/admin/chaos`` SIGKILLs a live worker and the background
-    supervisor replaces it (observed via the ``/metrics`` restart
-    counter — no health probe is allowed to do the reviving), and the
-    usual cleanup contract holds: SIGTERM drain exits 0, no worker
-    survives, no shm segment leaks.
+    changing predictions, SIGKILLing a worker pid that ``/healthz``
+    reports makes the background supervisor replace it (observed via
+    the ``/metrics`` restart counter — no health probe is allowed to do
+    the reviving), and the usual cleanup contract holds: SIGTERM drain
+    exits 0, no worker survives, no shm segment leaks.
     """
     token = "e2e-admin-secret"
     segments_before = shm_segments()
@@ -571,19 +570,8 @@ def phase_chaos_admin(checkpoint: Path, log_dir: Path) -> None:
         )
         print(f"[e2e] hot reload ok: weights_version {body['weights_version']}")
 
-        # Arm a minimal plan: one SIGKILL against worker slot 0, 0.2s in.
-        plan = {
-            "plan_version": 1,
-            "seed": 0,
-            "events": [
-                {"at_s": 0.2, "kind": "worker_crash", "target": 0},
-            ],
-        }
-        status, body = admin_post(url, "/v1/admin/chaos", token, {"plan": plan})
-        check(
-            status == 200 and body.get("status") == "armed",
-            f"chaos arm failed: {status} {body}",
-        )
+        # The fault comes from outside, as the kernel would deliver it.
+        os.kill(pids[0], signal.SIGKILL)
 
         def restart_count() -> float:
             total = 0.0

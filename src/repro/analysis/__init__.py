@@ -3,9 +3,9 @@
 Two halves:
 
 * :mod:`repro.analysis.rules` + :mod:`repro.analysis.linter` — the
-  ``holistix-lint`` AST rules (HX001–HX004, HX006) that check lock
-  discipline, seeded-path determinism, thread ownership, and chaos seams
-  at lint time.
+  ``holistix-lint`` AST rules (HX001–HX004) that check lock
+  discipline, seeded-path determinism and thread ownership at lint
+  time.
 * :mod:`repro.analysis.lockcheck` — the ``REPRO_LOCK_CHECK=1`` runtime
   lock-order registry (:class:`~repro.analysis.lockcheck.OrderedLock`)
   that turns potential deadlocks and lock-contract violations into

@@ -1,4 +1,4 @@
-"""Repo-specific AST lint rules (HX001–HX004, HX006).
+"""Repo-specific AST lint rules (HX001–HX004).
 
 Each rule encodes one invariant the serving stack's correctness leans
 on.  They are deliberately *heuristic*: the goal is to make the easy
@@ -14,7 +14,6 @@ HX001     shared-state field written outside its owning ``with lock``
 HX002     blocking call while holding a lock
 HX003     wall-clock / global randomness in seeded (deterministic) code
 HX004     ``threading.Thread`` without an explicit ``daemon=`` decision
-HX006     chaos seam used without a ``None`` guard
 ========  ==============================================================
 """
 
@@ -402,7 +401,7 @@ class HX003SeededDeterminism(Rule):
     """Seeded modules must not reach wall-clock or global randomness.
 
     Applies to the deterministic subsystems (``repro/loadgen``,
-    ``repro/chaos``, ``repro/corpus/factory.py``) and to any file whose
+    ``repro/corpus/factory.py``) and to any file whose
     header carries a ``# holistix-lint: seeded-module`` directive.
     Flags ``time.time``/``time_ns``, ``os.urandom``, ``uuid.uuid4``,
     ``datetime…now``/``utcnow``, module-level ``random.*`` (seeding a
@@ -415,7 +414,7 @@ class HX003SeededDeterminism(Rule):
     rule_id = "HX003"
     summary = "wall-clock or global randomness in a seeded module"
 
-    _SEEDED_PATH_PARTS = ("/loadgen/", "/chaos/")
+    _SEEDED_PATH_PARTS = ("/loadgen/",)
     _SEEDED_PATH_SUFFIXES = ("corpus/factory.py",)
     _DIRECTIVE = "holistix-lint: seeded-module"
 
@@ -550,203 +549,11 @@ class HX004ThreadOwnership(Rule):
         return False
 
 
-# ---------------------------------------------------------------------------
-# HX006 — chaos seams must be None-guarded
-# ---------------------------------------------------------------------------
-
-
-class HX006ChaosSeamGuard(Rule):
-    """Chaos hooks are optional: every use must tolerate ``chaos is None``.
-
-    A chaos seam is an access to a ``.chaos`` attribute (directly or
-    via a local alias like ``chaos = self.chaos``).  Because injectors
-    are armed only during fault experiments, production code paths see
-    ``None`` — a seam that calls through without a guard is a latent
-    ``AttributeError`` on the hot path.  Recognised guard shapes:
-
-    * ``if chaos is not None: chaos.before_batch(...)``
-    * early exit: ``if chaos is None: return`` then use below
-    * conditional expr: ``x if chaos is None else chaos.fault()``
-    * ``chaos is not None and chaos.fault()`` short-circuits
-    """
-
-    rule_id = "HX006"
-    summary = "chaos seam used without a None guard"
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        parents = _parent_map(ctx.tree)
-        violations: list[Violation] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                violations.extend(self._check_function(ctx, node, parents))
-        return violations
-
-    def _check_function(
-        self,
-        ctx: FileContext,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        parents: dict[ast.AST, ast.AST],
-    ) -> list[Violation]:
-        aliases = self._chaos_aliases(func)
-        violations: list[Violation] = []
-        for node in ast.walk(func):
-            use = self._chaos_use(node, aliases)
-            if use is None:
-                continue
-            expr_key, attr_node = use
-            if self._is_guarded(attr_node, expr_key, func, parents):
-                continue
-            violations.append(
-                self._violation(
-                    ctx,
-                    attr_node,
-                    f"chaos seam '{expr_key}.{attr_node.attr}' used without "
-                    "a None guard; wrap in 'if chaos is not None:' — the "
-                    "injector is absent outside fault experiments",
-                )
-            )
-        return violations
-
-    def _chaos_aliases(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> set[str]:
-        """Local names bound from a ``.chaos`` attribute."""
-        aliases: set[str] = set()
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if isinstance(value, ast.Attribute) and value.attr == "chaos":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        aliases.add(target.id)
-        return aliases
-
-    def _chaos_use(
-        self, node: ast.AST, aliases: set[str]
-    ) -> tuple[str, ast.Attribute] | None:
-        """An attribute access *through* a chaos value -> (guard key, node)."""
-        if not isinstance(node, ast.Attribute):
-            return None
-        receiver = node.value
-        if isinstance(receiver, ast.Attribute) and receiver.attr == "chaos":
-            return _render(receiver), node
-        if isinstance(receiver, ast.Name) and receiver.id in aliases:
-            return receiver.id, node
-        return None
-
-    def _is_guarded(
-        self,
-        node: ast.Attribute,
-        expr_key: str,
-        func: ast.AST,
-        parents: dict[ast.AST, ast.AST],
-    ) -> bool:
-        chain: list[ast.AST] = [node]
-        current: ast.AST | None = parents.get(node)
-        while current is not None:
-            if isinstance(current, ast.If) and self._if_guards(
-                current, expr_key, chain[-1]
-            ):
-                return True
-            if isinstance(current, ast.IfExp) and self._ifexp_guards(
-                current, expr_key, chain[-1]
-            ):
-                return True
-            if isinstance(current, ast.BoolOp) and self._boolop_guards(
-                current, expr_key, chain[-1]
-            ):
-                return True
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and current is not func:
-                break
-            if self._early_exit_guard(current, expr_key, parents):
-                return True
-            if current is func:
-                break
-            chain.append(current)
-            current = parents.get(current)
-        return False
-
-    def _test_matches(
-        self, test: ast.expr, expr_key: str, want_not_none: bool
-    ) -> bool:
-        """``<expr> is [not] None`` with the requested polarity."""
-        if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
-            return False
-        op = test.ops[0]
-        comparator = test.comparators[0]
-        if not (isinstance(comparator, ast.Constant) and comparator.value is None):
-            return False
-        if _render(test.left) != expr_key:
-            return False
-        if want_not_none:
-            return isinstance(op, ast.IsNot)
-        return isinstance(op, ast.Is)
-
-    def _if_guards(self, node: ast.If, expr_key: str, child: ast.AST) -> bool:
-        in_body = any(
-            child is stmt or self._contains(stmt, child) for stmt in node.body
-        )
-        in_else = any(
-            child is stmt or self._contains(stmt, child) for stmt in node.orelse
-        )
-        if in_body and self._test_matches(node.test, expr_key, want_not_none=True):
-            return True
-        return in_else and self._test_matches(node.test, expr_key, want_not_none=False)
-
-    def _ifexp_guards(self, node: ast.IfExp, expr_key: str, child: ast.AST) -> bool:
-        if self._test_matches(node.test, expr_key, want_not_none=False):
-            return child is node.orelse or self._contains(node.orelse, child)
-        if self._test_matches(node.test, expr_key, want_not_none=True):
-            return child is node.body or self._contains(node.body, child)
-        return False
-
-    def _boolop_guards(self, node: ast.BoolOp, expr_key: str, child: ast.AST) -> bool:
-        """``chaos is not None and chaos.f()`` / ``chaos is None or ...``."""
-        if not node.values:
-            return False
-        first = node.values[0]
-        rest = node.values[1:]
-        in_rest = any(value is child or self._contains(value, child) for value in rest)
-        if not in_rest:
-            return False
-        if isinstance(node.op, ast.And):
-            return self._test_matches(first, expr_key, want_not_none=True)
-        return self._test_matches(first, expr_key, want_not_none=False)
-
-    def _early_exit_guard(
-        self, node: ast.AST, expr_key: str, parents: dict[ast.AST, ast.AST]
-    ) -> bool:
-        """A preceding sibling ``if <expr> is None: return/raise/...``."""
-        parent = parents.get(node)
-        body = getattr(parent, "body", None)
-        if not isinstance(body, list) or node not in body:
-            return False
-        index = body.index(node)
-        for stmt in body[:index]:
-            if not isinstance(stmt, ast.If):
-                continue
-            if not self._test_matches(stmt.test, expr_key, want_not_none=False):
-                continue
-            if stmt.body and isinstance(
-                stmt.body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-            ):
-                return True
-        return False
-
-    @staticmethod
-    def _contains(root: ast.AST, target: ast.AST) -> bool:
-        return any(node is target for node in ast.walk(root))
-
-
 ALL_RULES: tuple[Rule, ...] = (
     HX001LockedFieldWrite(),
     HX002BlockingUnderLock(),
     HX003SeededDeterminism(),
     HX004ThreadOwnership(),
-    HX006ChaosSeamGuard(),
 )
 
 

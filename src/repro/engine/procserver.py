@@ -516,33 +516,6 @@ class ProcessInferenceServer(BatchingServerBase):
         return dict(self._arrays)
 
     # ------------------------------------------------------------------
-    # Chaos
-    # ------------------------------------------------------------------
-    def arm_chaos(self, injector) -> None:
-        """Arm a :class:`~repro.chaos.FaultInjector` against this server.
-
-        Registers the ``worker_crash`` handler (SIGKILL the target
-        slot's process — the real thing, not a simulation), installs the
-        injector on the batching seam, and starts its clock.  The
-        injector is disarmed automatically on ``stop()``.
-        """
-
-        def crash(event) -> None:
-            slots = (
-                range(self.workers) if event.target is None else (event.target,)
-            )
-            for worker in slots:
-                if worker >= self.workers:
-                    continue
-                handle = self._handles[worker]
-                if handle is not None and handle.alive() and handle.pid:
-                    os.kill(handle.pid, signal.SIGKILL)
-
-        injector.register("worker_crash", crash)
-        self.chaos = injector
-        injector.arm()
-
-    # ------------------------------------------------------------------
     # Supervisor
     # ------------------------------------------------------------------
     def _supervisor_loop(self) -> None:
@@ -692,12 +665,8 @@ class ProcessInferenceServer(BatchingServerBase):
                 self._stats_latest[worker] = EngineStats()
 
     def _after_stop(self) -> None:
-        # Order matters: silence chaos (no SIGKILLs at recycled pids),
-        # stop the supervisor (no respawns mid-teardown), then reap.
-        chaos = self.chaos
-        if chaos is not None:
-            chaos.disarm()
-            self.chaos = None
+        # Order matters: stop the supervisor (no respawns mid-teardown),
+        # then reap.
         self._supervisor_stop.set()
         if self._supervisor_thread is not None:
             self._supervisor_thread.join(timeout=10.0)

@@ -42,8 +42,6 @@ if TYPE_CHECKING:
     import numpy as np
     from numpy.typing import NDArray
 
-    from repro.chaos.injector import FaultInjector
-
     _ProbMatrix = NDArray[np.float64]
 
 __all__ = [
@@ -334,9 +332,6 @@ class BatchingServerBase:
         self._accepting = False
         self._stopping = False
         self._threads: list[threading.Thread] = []
-        # Chaos seam: a repro.chaos.FaultInjector, or None.  The hot
-        # path pays one attribute check when unarmed — nothing else.
-        self.chaos: FaultInjector | None = None
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -623,9 +618,6 @@ class BatchingServerBase:
             while True:
                 batch, stop = self._collect_batch()
                 if batch:
-                    chaos = self.chaos
-                    if chaos is not None:
-                        chaos.before_batch(worker)
                     self._serve_batch(batch, worker)
                 batch = []
                 if stop:

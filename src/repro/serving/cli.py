@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--admin-token",
         default=None,
         help=(
-            "shared secret enabling the /v1/admin/* endpoints (weight "
-            "reload, chaos arming); omitted = admin surface disabled"
+            "shared secret enabling POST /v1/admin/reload (hot weight "
+            "reload); omitted = admin surface disabled"
         ),
     )
     parser.add_argument(

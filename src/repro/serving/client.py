@@ -526,12 +526,18 @@ class ServingClient:
         return parse_metrics(self.metrics_text(deadline_s=deadline_s))
 
     def wait_ready(self, *, deadline_s: float | None = None) -> dict:
-        """Poll ``/healthz`` until ready or the deadline expires."""
+        """Poll ``/healthz`` until ready or the deadline expires.
+
+        A refused connection, a 503, a truncated or unparseable body:
+        every failed poll is retried until the deadline.
+        """
         deadline = time.monotonic() + self._resolve(deadline_s)
         while True:
             try:
                 return self.healthz(deadline_s=1.0)
-            except (ServingError, OSError) as error:
+            except (
+                ServingError, OSError, http.client.HTTPException, ValueError
+            ) as error:
                 if time.monotonic() >= deadline:
                     raise GatewayUnavailable(
                         503, "not_ready", f"gateway not ready in time: {error}"

@@ -37,12 +37,9 @@ backlog with :meth:`InferenceServer.stop`.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
-import socket
-import struct
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -144,9 +141,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         elif route == "/v1/predict_batch":
             self._handle_predict(batch=True)
         elif route == "/v1/admin/reload":
-            self._handle_admin(self._admin_reload, route)
-        elif route == "/v1/admin/chaos":
-            self._handle_admin(self._admin_chaos, route)
+            self._handle_admin(route)
         else:
             self._send_error(404, "not_found", f"unknown path {route!r}", route="*")
 
@@ -200,7 +195,6 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             ready=gateway.ready,
             model_id=gateway.model_id,
             processes=gateway.worker_processes(),
-            chaos=gateway.chaos_summary(),
             models=[
                 {
                     "name": entry.name,
@@ -270,9 +264,6 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     def _handle_predict(self, *, batch: bool) -> None:
         route = "/v1/predict_batch" if batch else "/v1/predict"
         gateway = self.gateway
-        fault = gateway.chaos_http_fault()
-        if fault is not None and self._apply_chaos_fault(fault, route):
-            return
         try:
             raw = self._read_body()
             request = (
@@ -417,66 +408,9 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         return value
 
     # ------------------------------------------------------------------
-    # Chaos faults (armed via /v1/admin/chaos or ServingGateway.arm_chaos)
+    # Admin endpoint (shared-secret gated)
     # ------------------------------------------------------------------
-    def _apply_chaos_fault(self, fault: str, route: str) -> bool:
-        """Corrupt this response per the armed fault plan. True = handled."""
-        if fault == "socket_reset":
-            self._abort_connection()
-            return True
-        if fault == "truncate_response":
-            payload = json.dumps(
-                {"model_id": self.gateway.model_id, "label": "truncated"}
-            ).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            # Half the promised bytes, then a hard close: the client
-            # sees IncompleteRead, not a clean EOF.
-            self.wfile.write(payload[: len(payload) // 2])
-            try:
-                self.wfile.flush()
-            except OSError:
-                pass
-            self._abort_connection()
-            return True
-        if fault == "malformed_response":
-            self._send_bytes(
-                200,
-                b"{this is not json",
-                content_type="application/json",
-                route=route,
-            )
-            self.close_connection = True
-            return True
-        log.warning("unknown chaos http fault %r ignored", fault)
-        return False
-
-    def _abort_connection(self) -> None:
-        """RST the client connection (SO_LINGER 0) without raising."""
-        self.close_connection = True
-        try:
-            self.connection.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-        except OSError:
-            pass
-        try:
-            self.connection.close()
-        except OSError:
-            pass
-        # The framework flushes wfile and may read rfile after the
-        # handler returns; dead buffers keep that from raising on the
-        # closed socket.
-        self.wfile = io.BytesIO()
-        self.rfile = io.BytesIO()
-
-    # ------------------------------------------------------------------
-    # Admin endpoints (shared-secret gated)
-    # ------------------------------------------------------------------
-    def _handle_admin(self, handler, route: str) -> None:
+    def _handle_admin(self, route: str) -> None:
         gateway = self.gateway
         if gateway.admin_token is None:
             # Admin surface disabled: indistinguishable from no route.
@@ -494,7 +428,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             self._send_error(error.status, error.code, error.message, route=route)
             return
         try:
-            handler(payload, route)
+            self._admin_reload(payload, route)
         except ProtocolError as error:
             self._send_error(
                 error.status, error.code, error.message, route=route,
@@ -504,7 +438,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             log.exception("admin handler failed for %s", route)
             self._send_error(500, "internal", "internal server error", route=route)
 
-    def _admin_entry(self, payload: dict, *, verb: str) -> ModelEntry:
+    def _admin_entry(self, payload: dict) -> ModelEntry:
         """Resolve the ``model`` selector an admin request targets.
 
         A one-entry fleet may leave it out (the single-model form);
@@ -520,7 +454,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                     400,
                     "bad_request",
                     f'fleet serves {len(entries)} models; field "model" '
-                    f"is required to {verb}",
+                    "is required to reload",
                 )
             return gateway.fleet.default_entry
         if not isinstance(model, str) or not model:
@@ -534,7 +468,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def _admin_reload(self, payload: dict, route: str) -> None:
         """Hot-swap one entry's weights from a checkpoint, with rollback."""
-        entry = self._admin_entry(payload, verb="reload")
+        entry = self._admin_entry(payload)
         checkpoint = payload.get("checkpoint")
         if not isinstance(checkpoint, str) or not checkpoint:
             raise ProtocolError(
@@ -623,38 +557,6 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             log.warning("reload self-check prediction raised", exc_info=True)
             return False
         return bool(probs) and all(math.isfinite(p) for p in probs)
-
-    def _admin_chaos(self, payload: dict, route: str) -> None:
-        """Arm a fault plan on one entry's server.
-
-        The body is ``{"model": ..., "plan": {...}}`` where ``plan`` is a
-        :meth:`FaultPlan.to_dict`; ``model`` may be left out on a
-        one-entry fleet.
-        """
-        from repro.chaos import FaultInjector, FaultPlan
-
-        plan_dict = payload.get("plan")
-        if not isinstance(plan_dict, dict):
-            raise ProtocolError(400, "bad_plan", 'field "plan" must be a JSON object')
-        entry = self._admin_entry(payload, verb="arm chaos on")
-        try:
-            plan = FaultPlan.from_dict(plan_dict)
-        except (KeyError, TypeError, ValueError) as error:
-            raise ProtocolError(
-                400, "bad_plan", f"invalid fault plan: {error}", model=entry.name
-            ) from error
-        self.gateway.arm_chaos(FaultInjector(plan), entry=entry)
-        self._send_json(
-            200,
-            {
-                "status": "armed",
-                "model": entry.name,
-                "events": len(plan),
-                "kinds": list(plan.kinds()),
-                "duration_s": plan.duration_s,
-            },
-            route=route,
-        )
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -777,9 +679,9 @@ class ServingGateway:
         Shared deadline for each predict request's engine futures (a
         client-propagated ``X-Deadline-Ms`` can only shorten it).
     admin_token:
-        Shared secret enabling the ``/v1/admin/*`` endpoints (weight
-        reload, chaos arming).  ``None`` (default) disables the admin
-        surface entirely — the routes 404.
+        Shared secret enabling ``/v1/admin/reload`` (weight reload).
+        ``None`` (default) disables the admin surface entirely — the
+        route 404s.
     """
 
     def __init__(
@@ -804,8 +706,6 @@ class ServingGateway:
         self.request_timeout_s = request_timeout_s
         self.admin_token = admin_token
         self.http_counters = HttpCounters()
-        self.chaos = None
-        self._chaos_server: BatchingServerBase | None = None
         self._httpd: _GatewayHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._draining = False
@@ -832,51 +732,8 @@ class ServingGateway:
         return self.fleet.default_entry.baseline
 
     # ------------------------------------------------------------------
-    # Chaos + deadline admission
+    # Deadline admission
     # ------------------------------------------------------------------
-    def arm_chaos(self, injector, *, entry: ModelEntry | None = None) -> None:
-        """Arm a fault injector on this gateway (and one entry's server).
-
-        The server side registers real fault handlers (SIGKILL for
-        ``worker_crash`` on the process backend) and sees the stall /
-        slow-batch seams; the gateway side serves the socket-level
-        response faults for every route.  Re-arming replaces (and
-        disarms) any previously armed injector, wherever it was armed.
-        """
-        target = (entry or self.fleet.default_entry).server
-        previous = self.chaos
-        if previous is not None:
-            self.disarm_chaos()
-        arm = getattr(target, "arm_chaos", None)
-        if callable(arm):
-            arm(injector)
-        else:
-            target.chaos = injector
-            injector.arm()
-        self.chaos = injector
-        self._chaos_server = target
-
-    def disarm_chaos(self) -> None:
-        injector = self.chaos
-        if injector is not None:
-            injector.disarm()
-            self.chaos = None
-            if self._chaos_server is not None:
-                self._chaos_server.chaos = None
-                self._chaos_server = None
-
-    def chaos_http_fault(self) -> str | None:
-        """The fault kind to apply to the current response, if armed."""
-        injector = self.chaos
-        return None if injector is None else injector.http_response_fault()
-
-    def chaos_summary(self) -> dict | None:
-        """``/metrics`` view of the armed injector (None when unarmed)."""
-        injector = self.chaos
-        if injector is None:
-            return None
-        return {"armed": injector.armed, "injected": injector.applied_counts()}
-
     def observed_p50_ms(self, entry: ModelEntry | None = None) -> float:
         """Cached p50 service latency for deadline-aware admission.
 
@@ -993,7 +850,6 @@ class ServingGateway:
         the gateway detaches; in-flight HTTP requests still finish
         because the listener close joins the handler threads.
         """
-        self.disarm_chaos()
         with self._lock:
             httpd, thread = self._httpd, self._thread
             if httpd is None:

@@ -77,7 +77,6 @@ class _Scrape(NamedTuple):
     ready: bool
     model_id: str
     processes: list[dict] | None
-    chaos: dict | None
     models: list[dict] | None
     shadow: dict | None
 
@@ -343,24 +342,6 @@ FAMILIES: tuple[Family, ...] = (
         lambda s: [((), s.shadow["failed"])],
         requires="shadow",
     ),
-    Family(
-        "holistix_chaos_armed",
-        "gauge",
-        "1 while a fault-injection plan is armed against this gateway.",
-        (),
-        lambda s: [((), 1 if s.chaos.get("armed") else 0)],
-        requires="chaos",
-    ),
-    Family(
-        "holistix_chaos_injected_total",
-        "counter",
-        "Faults actually applied by the armed injector, by kind.",
-        ("kind",),
-        lambda s: [
-            ((kind,), n) for kind, n in sorted(s.chaos.get("injected", {}).items())
-        ],
-        requires="chaos",
-    ),
 )
 
 
@@ -372,7 +353,6 @@ def render_metrics(
     ready: bool,
     model_id: str,
     processes: list[dict] | None = None,
-    chaos: dict | None = None,
     models: list[dict] | None = None,
     shadow: dict | None = None,
 ) -> str:
@@ -385,9 +365,7 @@ def render_metrics(
     ``processes`` is the multi-process
     server's :meth:`~repro.engine.procserver.ProcessInferenceServer.
     worker_processes` report (``None`` for the threaded server) — it
-    adds per-worker-process liveness and restart families.  ``chaos``
-    (``{"armed": bool, "injected": {kind: n}}``) adds the
-    fault-injection families while an experiment is armed, so recovery
+    adds per-worker-process liveness and restart families, so recovery
     can be watched on ``/metrics`` without probing ``/healthz`` (which
     would itself revive workers).
 
@@ -405,7 +383,6 @@ def render_metrics(
         ready,
         model_id,
         processes,
-        chaos,
         models,
         shadow,
     )

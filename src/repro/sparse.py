@@ -281,10 +281,14 @@ class CSRMatrix:
         )
 
     def row_norms(self) -> np.ndarray:
-        """L2 norm of every row, shape ``(n_rows,)``."""
-        running = np.zeros(self.nnz + 1, dtype=np.float64)
-        np.cumsum(self.data**2, out=running[1:])
-        return np.sqrt(np.diff(running[self.indptr]))
+        """L2 norm of every row, shape ``(n_rows,)``.
+
+        Each row's squares are summed on their own, in order, so a row's
+        norm is bitwise the same alone as in any batch.
+        """
+        n_rows = self.shape[0]
+        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
+        return np.sqrt(np.bincount(rows, weights=self.data**2, minlength=n_rows))
 
     def normalized_rows(self) -> "CSRMatrix":
         """New matrix with unit-L2 rows (all-zero rows stay zero)."""

@@ -7,7 +7,7 @@ Three layers:
 * the ``OrderedLock`` dynamic checker — a deliberately-deadlocking
   two-lock ordering is caught, conditions integrate, ``require_held``
   enforces the ``*_locked`` contract;
-* the real tree: ``holistix-lint src/ scripts/`` is clean, and the real
+* the real tree: ``holistix-lint src/ scripts/ benchmarks/`` is clean, and the real
   ``ProcessInferenceServer`` start/submit/drain/stop path records a
   cycle-free lock graph under ``REPRO_LOCK_CHECK=1``.
 """
@@ -38,7 +38,7 @@ from repro.engine.procserver import ProcessInferenceServer
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "analysis"
 
-RULE_IDS = ["HX001", "HX002", "HX003", "HX004", "HX006"]
+RULE_IDS = ["HX001", "HX002", "HX003", "HX004"]
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +77,7 @@ class TestRuleFixtures:
     def test_flag_fixtures_report_expected_counts(self):
         # Pin the specific sites so a rule that silently stops matching
         # one shape fails here instead of rotting.
-        expected = {"HX001": 1, "HX002": 4, "HX003": 3, "HX004": 2, "HX006": 2}
+        expected = {"HX001": 1, "HX002": 4, "HX003": 3, "HX004": 2}
         for rule_id, count in expected.items():
             path = FIXTURES / f"{rule_id.lower()}_flag.py"
             violations = check_file(path, rules=[rule_by_id(rule_id)])
@@ -107,7 +107,7 @@ class TestPathScopedRules:
     def test_hx003_from_import_alias(self):
         source = "from time import time as now\n\ndef f():\n    return now()\n"
         flagged = check_source(
-            source, "src/repro/chaos/x.py", rules=[rule_by_id("HX003")]
+            source, "src/repro/loadgen/x.py", rules=[rule_by_id("HX003")]
         )
         assert len(flagged) == 1
         assert "time.time" in flagged[0].message
@@ -190,7 +190,7 @@ class TestCli:
     def test_collect_files_recurses_and_dedupes(self):
         files = collect_files([FIXTURES, FIXTURES / "hx001_flag.py"])
         assert files.count(FIXTURES / "hx001_flag.py") == 1
-        assert len(files) >= 10
+        assert len(files) >= 8
 
 
 class TestRealTreeIsClean:
@@ -198,13 +198,11 @@ class TestRealTreeIsClean:
         violations = run([REPO_ROOT / "src", REPO_ROOT / "scripts"])
         assert violations == [], "\n".join(v.render() for v in violations)
 
-    def test_gateway_and_injector_hx001_regressions(self):
-        # These two files carried real HX001 races (gateway.stop wrote
-        # _owns_server outside its lock; FaultInjector.disarm wrote
-        # _thread unguarded) — pin that they stay clean.
-        for rel in ("src/repro/serving/gateway.py", "src/repro/chaos/injector.py"):
-            violations = check_file(REPO_ROOT / rel, rules=[rule_by_id("HX001")])
-            assert violations == [], "\n".join(v.render() for v in violations)
+    def test_benchmarks_lint_clean(self):
+        # The harness and its fault helpers start threads and hold
+        # sockets, so they are held to the same rules.
+        violations = run([REPO_ROOT / "benchmarks"])
+        assert violations == [], "\n".join(v.render() for v in violations)
 
 
 # ----------------------------------------------------------------------
@@ -339,22 +337,3 @@ class TestRealLockOrders:
         edges = armed_lock_check.edges()
         assert any("server.mutex" in source for source in edges), edges
 
-    def test_injector_disarm_joins_outside_lock(self, armed_lock_check):
-        """Regression: disarm() used to write _thread unguarded; it now
-        pops under the lock and joins outside, so disarming while the
-        dispatch thread is mid-_mark (which takes the same lock) cannot
-        deadlock or race."""
-        from repro.chaos.injector import FaultInjector
-        from repro.chaos.plan import FaultEvent, FaultPlan
-
-        plan = FaultPlan(
-            seed=7, events=(FaultEvent(at_s=30.0, kind="worker_crash", target=0),)
-        )
-        injector = FaultInjector(plan)
-        injector.register("worker_crash", lambda event: None)
-        injector.arm()
-        assert injector.armed
-        started = time.monotonic()
-        injector.disarm()
-        assert time.monotonic() - started < 5.0
-        assert injector._thread is None

@@ -333,6 +333,31 @@ class TestPersistenceRoundTrip:
             WellnessClassifier("LR").predict(["hello"])
 
 
+class TestBatchIndependence:
+    def test_corpus_texts_score_the_same_alone_and_batched(self, dataset):
+        # The engine caches scores per text, so whichever batch scores a
+        # text first fixes what it serves: a text's TF-IDF row and LR
+        # probabilities must be bitwise the same alone as in a batch.
+        from repro.engine.registry import build_engine
+
+        classifier = WellnessClassifier("LR").fit(dataset.fixed_split().train)
+        texts = dataset.texts
+        vectorizer = classifier.vectorizer
+        batch = vectorizer.transform_sparse(texts)
+        engine = build_engine(
+            "LR", model=classifier.model, vectorizer=vectorizer, cache_size=0
+        )
+        batched = engine.predict_proba(texts)
+        rows_differ = probs_differ = 0
+        for i, text in enumerate(texts):
+            start, end = batch.indptr[i], batch.indptr[i + 1]
+            one = vectorizer.transform_sparse([text])
+            rows_differ += one.data.tobytes() != batch.data[start:end].tobytes()
+            alone = engine.predict_proba([text])
+            probs_differ += alone.tobytes() != batched[i : i + 1].tobytes()
+        assert (rows_differ, probs_differ) == (0, 0)
+
+
 class TestInferenceServer:
     def test_serves_same_labels_as_direct_predict(self, fitted_lr, small_dataset):
         texts = small_dataset.texts[:40]

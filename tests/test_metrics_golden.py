@@ -4,7 +4,7 @@ Each fixture under ``tests/fixtures/metrics/`` is the exposition text
 one set of fixed inputs renders to.  The fixtures pin every byte an
 operator's scraper or dashboard can see: family order, HELP text, label
 order and escaping, value formatting, and which families are left out
-when there is no process pool, fleet, shadow traffic or chaos plan.
+when there is no process pool, fleet or shadow traffic.
 Any change to the exposition fails here and forces a deliberate
 fixture update in the same diff.
 
@@ -12,12 +12,11 @@ Three scrapes are pinned:
 
 * ``fleet`` — a three-entry fleet (champion, challenger, and a shadow
   entry that has served nothing), worker processes with one dead slot
-  whose pid is unknown, an armed chaos plan with two fault kinds, HTTP
-  counts including the ``*`` route, and a ``model_id`` holding a quote,
-  a backslash and a newline;
-* ``bare`` — a lone server: no fleet, processes, chaos or shadow;
-* ``idle`` — an idle chaos plan and an empty fleet, so families with no
-  samples still print their HELP and TYPE lines.
+  whose pid is unknown, HTTP counts including the ``*`` route, and a
+  ``model_id`` holding a quote, a backslash and a newline;
+* ``bare`` — a lone server: no fleet, processes or shadow;
+* ``idle`` — an empty fleet, so families with no samples still print
+  their HELP and TYPE lines.
 
 Regenerate (after an intentional exposition change) with::
 
@@ -95,7 +94,6 @@ def fleet_scrape() -> str:
             {"worker": 0, "pid": 4242, "alive": True, "restarts": 0},
             {"worker": 1, "pid": None, "alive": False, "restarts": 2},
         ],
-        chaos={"armed": True, "injected": {"worker_crash": 1, "slow_batch": 4}},
         models=[
             {
                 "name": "champion",
@@ -140,7 +138,6 @@ def idle_scrape() -> str:
         {},
         ready=True,
         model_id="LR@1",
-        chaos={"armed": False, "injected": {}},
         models=[],
     )
 

@@ -31,11 +31,13 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import wait
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.faults import kill_worker, stall_worker
 from repro.core.pipeline import WellnessClassifier
 from repro.engine.engine import PredictionEngine
 from repro.engine.procserver import (
@@ -727,12 +729,16 @@ class TestBackgroundSupervisor:
 
 
 # ----------------------------------------------------------------------
-# Chaos arming against real worker processes
+# Faults applied from outside the process
 # ----------------------------------------------------------------------
-class TestChaosArming:
-    def test_armed_plan_kills_worker_and_supervisor_recovers(self):
-        from repro.chaos import FaultEvent, FaultInjector, FaultPlan
+class TestOutsideInFaults:
+    """Signals at the pids ``/healthz`` reports, and injected latency.
 
+    Nothing in the server is armed: a SIGKILL, a SIGSTOP or a slow
+    backend is applied the way the kernel or a slow model would.
+    """
+
+    def test_sigkilled_healthz_pid_is_respawned_and_serves(self):
         server = ProcessInferenceServer.from_factory(
             make_hash_engine,
             workers=1,
@@ -740,15 +746,15 @@ class TestChaosArming:
             supervisor_interval_s=0.05,
             respawn_backoff_base_s=0.01,
         )
-        with server:
+        with ServingGateway(server) as gateway:
             server.wait_ready(timeout=120)
-            victim = server.worker_processes()[0]["pid"]
-            plan = FaultPlan(
-                seed=0,
-                events=(FaultEvent(at_s=0.05, kind="worker_crash", target=0),),
-            )
-            server.arm_chaos(FaultInjector(plan))
-            assert server.chaos is not None and server.chaos.armed
+            from repro.serving.client import ServingClient
+
+            client = ServingClient(gateway.url, deadline_s=30)
+            victim = client.healthz()["processes"][0]["pid"]
+            assert kill_worker(victim)
+            # Read-only wait: the supervisor alone must revive the slot,
+            # with no probe and no traffic to do it instead.
             deadline = time.monotonic() + 60
             report = server.worker_processes()[0]
             while time.monotonic() < deadline:
@@ -758,12 +764,50 @@ class TestChaosArming:
                 time.sleep(0.02)
             assert report["restarts"] >= 1
             assert report["alive"] and report["pid"] != victim
-            assert server.chaos.applied_counts() == {"worker_crash": 1}
-            result = server.submit("recovered from chaos").result(timeout=60)
-            assert len(result.probabilities) == 6
-        # stop() disarmed the injector and dropped the reference, so no
-        # stray dispatch thread can SIGKILL a recycled pid later.
-        assert server.chaos is None
+            assert client.predict("recovered from the crash").label
+
+    def test_stopped_worker_holds_only_its_own_slot(self):
+        server = ProcessInferenceServer.from_factory(
+            make_hash_engine, workers=2, max_batch_size=1
+        )
+        with server:
+            server.wait_ready(timeout=120)
+            victim = server.worker_processes()[1]["pid"]
+            observed: list[tuple[bool, bool]] = []
+            stall = threading.Thread(
+                target=lambda: observed.append(stall_worker(victim, 2.0)),
+                daemon=False,
+            )
+            stall.start()
+            try:
+                time.sleep(0.3)
+                futures = [server.submit(f"stalled {i}") for i in range(16)]
+                # Slot 1 holds the one batch it sent into the stopped
+                # process; slot 0 serves every other request meanwhile.
+                _, pending = wait(futures, timeout=1.2)
+                assert len(pending) == 1
+            finally:
+                stall.join(timeout=30)
+            assert not stall.is_alive()
+            assert observed == [(True, True)]
+            for future in futures:
+                assert len(future.result(timeout=30).probabilities) == 6
+            report = server.worker_processes()[1]
+            # A stopped process is alive: the supervisor left it alone.
+            assert report["pid"] == victim and report["restarts"] == 0
+
+    def test_injected_latency_is_rebuilt_inside_workers(self, lr_checkpoint):
+        text = "a slow batch about sleep"
+        server = ProcessInferenceServer.from_checkpoint(
+            lr_checkpoint, workers=1, cache_size=0, inject_latency_ms=150.0
+        )
+        with server:
+            server.wait_ready(timeout=120)
+            started = time.monotonic()
+            (result,) = server.predict([text], timeout=60)
+            assert time.monotonic() - started >= 0.15
+        expected = WellnessClassifier.load(lr_checkpoint).predict_proba([text])
+        np.testing.assert_array_equal(result.probabilities, expected[0])
 
 
 # ----------------------------------------------------------------------

@@ -379,6 +379,34 @@ class TestBatchingPolicy:
         assert backend.batch_sizes == [1, 10]
 
 
+class StallBackend(DeterministicBackend):
+    """Stalls any batch holding a ``stall`` text until released."""
+
+    def __init__(self) -> None:
+        self.stalled = threading.Event()
+        self.release = threading.Event()
+
+    def proba_batch(self, texts: list[str]) -> np.ndarray:
+        if any("stall" in text for text in texts):
+            self.stalled.set()
+            self.release.wait(timeout=10)
+        return super().proba_batch(texts)
+
+
+class TestStalledWorker:
+    def test_other_worker_keeps_serving_while_one_is_stalled(self):
+        backend = StallBackend()
+        server = InferenceServer(make_engine(backend), workers=2, max_batch_size=1)
+        with server:
+            stalled = server.submit("stall this worker")
+            assert backend.stalled.wait(timeout=10)
+            for i in range(20):
+                server.submit(f"served {i}").result(timeout=10)
+            assert not stalled.done()
+            backend.release.set()
+            assert len(stalled.result(timeout=10).probabilities) == 6
+
+
 class TestStatsSnapshot:
     def test_snapshot_is_consistent_and_immutable(self):
         stats = ServerStats(n_workers=2)
@@ -554,7 +582,7 @@ class TestWorkerThreadReplacement:
 
     ``_serve_batch`` already fans exceptions out to the batch's futures,
     so the only way a serving thread dies is a bug *outside* that guard
-    (batch collection, stats, chaos seam).  When it happens the thread
+    (batch collection, stats).  When it happens the thread
     must be logged, counted, and replaced — not silently strip the
     server of capacity.
     """

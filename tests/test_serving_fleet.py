@@ -312,30 +312,6 @@ class TestFleetGateway:
         assert payload["error"]["model"] == "challenger"
         del client
 
-    def test_admin_chaos_takes_a_model_selector(self, gateway):
-        from repro.chaos import FaultEvent, FaultPlan
-
-        plan = FaultPlan(
-            seed=7,
-            events=(
-                FaultEvent(at_s=0.0, kind="slow_batch", duration_s=30.0),
-            ),
-        ).to_dict()
-        status, payload = _admin_post(
-            gateway, "/v1/admin/chaos", {"model": "challenger", "plan": plan}
-        )
-        assert status == 200
-        assert payload["model"] == "challenger"
-        assert gateway.fleet.entry("challenger").server.chaos is not None
-        assert gateway.fleet.entry("champion").server.chaos is None
-        # A bare plan body is not a chaos request: it arms nothing.
-        status, payload = _admin_post(gateway, "/v1/admin/chaos", plan)
-        assert status == 400
-        assert payload["error"]["code"] == "bad_plan"
-        assert gateway.fleet.entry("champion").server.chaos is None
-        assert gateway.fleet.entry("challenger").server.chaos is not None
-        gateway.disarm_chaos()
-
     def test_gateway_owns_only_entries_it_started(self):
         running = make_server("pre@1").start()
         try:

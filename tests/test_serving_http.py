@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.engine.engine import PredictionEngine
-from repro.engine.server import InferenceServer, ServerStats
+from repro.engine.server import InferenceServer, RemoteWorkerError, ServerStats
 from repro.serving.client import (
     GatewayOverloaded,
     GatewayUnavailable,
@@ -326,6 +326,19 @@ class TestBackpressureAndErrors:
                 client.predict("too slow")
             assert excinfo.value.status == 504
             assert excinfo.value.code == "deadline_exceeded"
+
+    def test_remote_worker_failure_maps_to_retriable_503(self):
+        class DeadWorkerBackend(DeterministicBackend):
+            def proba_batch(self, texts):
+                raise RemoteWorkerError("worker process 0 died")
+
+        with gateway_over(DeadWorkerBackend(), workers=1) as (gateway, _):
+            client = ServingClient(gateway.url, deadline_s=10, retry_budget=0)
+            with pytest.raises(ServingError) as excinfo:
+                client.predict("served by a dead worker")
+            assert excinfo.value.status == 503
+            assert excinfo.value.code == "backend_failure"
+            assert excinfo.value.retriable
 
 
 class TestRetryJitter:

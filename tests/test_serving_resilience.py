@@ -1,10 +1,10 @@
 """Resilience-primitive tests: client breaker/budget, deadline
-propagation, chaos HTTP faults, and the admin surface.
+propagation, HTTP response faults, and the admin surface.
 
 Client-side mechanics (circuit breaker, retry budget, Retry-After
 hardening, transport retries) are tested against a scripted transport;
-deadline shedding, fault application, and the admin endpoints run over
-a real loopback gateway.
+deadline shedding and the admin endpoints run over a real loopback
+gateway, and response faults through a fault proxy in front of one.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from repro.chaos import FaultEvent, FaultPlan
+from benchmarks.faults import FaultProxy
 from repro.serving.client import (
     CircuitOpen,
     GatewayUnavailable,
@@ -97,6 +98,44 @@ class _LowercaseRetryAfterHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args) -> None:
         pass
+
+
+class _FlakyHealthzHandler(BaseHTTPRequestHandler):
+    """Truncates the first ``/healthz`` body, then answers ready."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self) -> None:
+        self.server.polls += 1
+        body = json.dumps({"status": "ok"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        if self.server.polls == 1:
+            body = body[: len(body) // 2]
+        self.wfile.write(body)
+        self.close_connection = True
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+class TestWaitReady:
+    def test_a_truncated_healthz_body_is_polled_again(self):
+        stub = HTTPServer(("127.0.0.1", 0), _FlakyHealthzHandler)
+        stub.polls = 0
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServingClient(f"http://127.0.0.1:{stub.server_port}")
+            assert client.wait_ready(deadline_s=10.0) == {"status": "ok"}
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=5)
+        assert stub.polls == 2
 
 
 class TestRetryAfterHardening:
@@ -476,81 +515,77 @@ class TestAdminSurface:
             )
             assert status == 400
 
-    def test_chaos_arming_rejects_bad_plans(self):
+    def test_chaos_route_is_gone_even_with_a_valid_token(self):
+        plan = {"plan_version": 1, "seed": 0, "events": []}
         with gateway_over(admin_token="s3cret") as (gateway, _server):
             status, payload = _post(
                 gateway.url,
                 "/v1/admin/chaos",
-                {"plan": {"plan_version": 1, "seed": "x"}},
+                {"plan": plan},
                 headers={"X-Admin-Token": "s3cret"},
             )
-            assert status == 400
-            assert payload["error"]["code"] == "bad_plan"
+            assert status == 404
+            assert payload["error"]["code"] == "not_found"
+            text = ServingClient(gateway.url).metrics_text()
+            assert "holistix_chaos" not in text
 
 
 class TestChaosHttpFaults:
-    def plan(self, kind, count=0):
-        return FaultPlan(
-            seed=0,
-            events=(FaultEvent(at_s=0.0, kind=kind, duration_s=30.0, count=count),),
-        )
+    """Response faults applied by a proxy between the client and the gateway."""
 
-    def arm(self, gateway, plan):
-        status, payload = _post(
-            gateway.url,
-            "/v1/admin/chaos",
-            {"plan": plan.to_dict()},
-            headers={"X-Admin-Token": "s3cret"},
-        )
-        assert status == 200 and payload["status"] == "armed"
+    @contextmanager
+    def proxied(self, kind, count, **client_kwargs):
+        with gateway_over() as (gateway, _server), FaultProxy(gateway.port) as proxy:
+            proxy.fault_next(kind, count)
+            client = ServingClient(
+                proxy.url,
+                deadline_s=10.0,
+                retry_base_s=0.01,
+                retry_jitter=0.0,
+                **client_kwargs,
+            )
+            yield client, proxy
 
     def test_socket_reset_fault_then_clean_recovery(self):
-        with gateway_over(admin_token="s3cret") as (gateway, _server):
-            self.arm(gateway, self.plan("socket_reset", count=1))
-            client = ServingClient(
-                gateway.url, deadline_s=10.0, retry_base_s=0.01, retry_jitter=0.0
-            )
+        with self.proxied("reset", 1) as (client, proxy):
             # The single reset is absorbed by a transport retry.
             assert client.predict("ride out the reset").label
             assert client.stats()["transport_failures"] == 1
-            assert gateway.chaos_summary()["injected"] == {"socket_reset": 1}
+            assert [kind for _, kind in proxy.faulted()] == ["reset"]
 
     def test_truncated_response_fault_is_retried(self):
-        with gateway_over(admin_token="s3cret") as (gateway, _server):
-            self.arm(gateway, self.plan("truncate_response", count=1))
-            client = ServingClient(
-                gateway.url, deadline_s=10.0, retry_base_s=0.01, retry_jitter=0.0
-            )
+        with self.proxied("truncate", 1) as (client, _proxy):
             assert client.predict("survive truncation").label
             assert client.stats()["transport_failures"] == 1
 
     def test_malformed_response_fault_is_retried(self):
-        with gateway_over(admin_token="s3cret") as (gateway, _server):
-            self.arm(gateway, self.plan("malformed_response", count=2))
-            client = ServingClient(
-                gateway.url, deadline_s=10.0, retry_base_s=0.01, retry_jitter=0.0
-            )
+        with self.proxied("garble", 2) as (client, _proxy):
             assert client.predict("survive garbage json").label
             assert client.stats()["transport_failures"] == 2
 
-    def test_metrics_expose_armed_state_and_injections(self):
-        with gateway_over(admin_token="s3cret") as (gateway, _server):
-            self.arm(gateway, self.plan("malformed_response", count=1))
-            client = ServingClient(
-                gateway.url, deadline_s=10.0, retry_base_s=0.01, retry_jitter=0.0
-            )
-            client.predict("trip the fault")
-            metrics = client.metrics()
-            assert metrics[("holistix_chaos_armed", frozenset())] == 1.0
-            assert (
-                metrics[
-                    (
-                        "holistix_chaos_injected_total",
-                        frozenset({("kind", "malformed_response")}),
-                    )
-                ]
-                == 1.0
-            )
-            gateway.disarm_chaos()
-            metrics = client.metrics()
-            assert ("holistix_chaos_armed", frozenset()) not in metrics
+    def test_fault_count_is_exact_under_concurrent_connections(self):
+        # A breaker that cannot open: the five faults may land back to back.
+        with self.proxied("garble", 5, breaker_threshold=100) as (client, proxy):
+            labels: list[str] = []
+
+            def race(i: int) -> None:
+                labels.append(client.predict(f"racer {i}").label)
+
+            threads = [
+                threading.Thread(target=race, args=(i,), daemon=False)
+                for i in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(labels) == 16
+            assert len(proxy.faulted()) == 5
+            assert client.stats()["transport_failures"] == 5
+
+    def test_cleared_faults_are_never_applied(self):
+        with self.proxied("reset", 3) as (client, proxy):
+            assert proxy.clear() == 3
+            assert client.predict("nothing left to fault").label
+            assert proxy.faulted() == []
+            assert client.stats()["transport_failures"] == 0
